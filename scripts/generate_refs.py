@@ -2,21 +2,21 @@
 """Regenerate the bundled reference-sequence snapshots in src/crossmap/data/.
 
 Each snapshot is written in OEIS b-file format (`index value` per line,
-offset 0).  Values come from independent routes, not from the package's
-enumeration counters:
+offset 0):
 
   A000108  Catalan numbers, product formula
   A001006  Motzkin numbers, convolution recurrence
   A000110  Bell numbers, Bell triangle
-  A108304  3-noncrossing partitions, tableau-walk dynamic program
-  A108307  enhanced 3-noncrossing partitions, tableau-walk dynamic program
+  A108304  3-noncrossing partitions, tableau walk
+  A108307  enhanced 3-noncrossing partitions, tableau walk
 
-The two dynamic programs count closed walks on Young diagrams with at most
-two rows (alternating remove/add steps for the classical family; paired
-nothing-add / remove-nothing / add-remove steps for the enhanced family).
-With the row bound 1 they reproduce Catalan and Motzkin, and they agree
-with this package's brute-force counters for every n <= 12; run with
---check to re-verify the brute-force agreement (slow, ~3 minutes).
+The tableau walk is crossmap.counting._walk, which counts closed walks on
+Young diagrams with at most k-1 rows.  It is also the route behind
+count_C and count_E, so the A108304 and A108307 snapshots are not
+independent of those functions; the package's enumeration route
+(count_range, used by count_table and oeis-check) is.  With k=2 the walk
+must reproduce Catalan and Motzkin; run with --check to re-verify it
+against enumeration for every n <= 12 (slow, ~3 minutes).
 """
 from __future__ import annotations
 
@@ -25,8 +25,13 @@ import math
 import sys
 from pathlib import Path
 
-DATA_DIR = Path(__file__).resolve().parent.parent / "src" / "crossmap" / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
+DATA_DIR = SRC / "crossmap" / "data"
 TERMS = 16
+
+sys.path.insert(0, str(SRC))
+from crossmap.counting import _walk, count_range  # noqa: E402
+from crossmap.partition import split_range  # noqa: E402
 
 
 def catalan(nmax: int) -> list[int]:
@@ -53,63 +58,8 @@ def bell(nmax: int) -> list[int]:
     return out
 
 
-def _add_corners(s: tuple[int, ...], rows: int) -> list[tuple[int, ...]]:
-    res = []
-    for i in range(len(s)):
-        if i == 0 or s[i - 1] > s[i]:
-            res.append(s[:i] + (s[i] + 1,) + s[i + 1 :])
-    if len(s) < rows:
-        res.append(s + (1,))
-    return res
-
-
-def _remove_corners(s: tuple[int, ...]) -> list[tuple[int, ...]]:
-    res = []
-    for i in range(len(s)):
-        if i == len(s) - 1 or s[i] > s[i + 1]:
-            t = s[:i] + (s[i] - 1,) + s[i + 1 :]
-            res.append(tuple(x for x in t if x))
-    return res
-
-
-def classical_noncrossing(nmax: int, rows: int) -> list[int]:
-    """Closed walks: each unit of time removes-or-nothing then adds-or-nothing."""
-    out = []
-    for n in range(nmax + 1):
-        states = {(): 1}
-        for _ in range(n):
-            nxt: dict = {}
-            for s, c in states.items():
-                for t in [s] + _remove_corners(s):
-                    nxt[t] = nxt.get(t, 0) + c
-            states = nxt
-            nxt = {}
-            for s, c in states.items():
-                for t in [s] + _add_corners(s, rows):
-                    nxt[t] = nxt.get(t, 0) + c
-            states = nxt
-        out.append(states.get((), 0))
-    return out
-
-
-def enhanced_noncrossing(nmax: int, rows: int) -> list[int]:
-    """Closed walks with step pairs (nothing, add), (remove, nothing), (add, remove)."""
-    out = []
-    for n in range(nmax + 1):
-        states = {(): 1}
-        for _ in range(n):
-            nxt: dict = {}
-            for s, c in states.items():
-                for t in _add_corners(s, rows):
-                    nxt[t] = nxt.get(t, 0) + c
-                for t in _remove_corners(s):
-                    nxt[t] = nxt.get(t, 0) + c
-                for m in _add_corners(s, rows):
-                    for t in _remove_corners(m):
-                        nxt[t] = nxt.get(t, 0) + c
-            states = nxt
-        out.append(states.get((), 0))
-    return out
+def walk(k: int, enhanced: bool) -> list[int]:
+    return [_walk(k, n, enhanced, partial=False) for n in range(TERMS)]
 
 
 def write_bfile(oeis_id: str, values: list[int]) -> None:
@@ -125,27 +75,26 @@ def main() -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="cross-check the dynamic programs against brute-force counts (slow)",
+        help="cross-check the tableau walk against enumeration (slow)",
     )
     args = parser.parse_args()
 
     nmax = TERMS - 1
     cat = catalan(nmax)
     mot = motzkin(nmax)
-    c3 = classical_noncrossing(nmax, rows=2)
-    e3 = enhanced_noncrossing(nmax, rows=2)
+    c3 = walk(3, enhanced=False)
+    e3 = walk(3, enhanced=True)
 
-    # Row bound 1 must collapse the walks to Catalan / Motzkin.
-    assert classical_noncrossing(nmax, rows=1) == cat
-    assert enhanced_noncrossing(nmax, rows=1) == mot
+    # Row bound 1 (k=2) must collapse the walks to Catalan / Motzkin.
+    assert walk(2, enhanced=False) == cat
+    assert walk(2, enhanced=True) == mot
 
     if args.check:
-        from crossmap.counting import count_C, count_E
-
         for n in range(13):
-            assert count_C(3, n, budget=12) == c3[n], n
-            assert count_E(3, n, budget=12) == e3[n], n
-        print("brute-force cross-check passed for n <= 12")
+            (rng,) = split_range(n, 1)
+            assert count_range(rng, 3, enhanced=False) == c3[n], n
+            assert count_range(rng, 3, enhanced=True) == e3[n], n
+        print("enumeration cross-check passed for n <= 12")
 
     DATA_DIR.mkdir(parents=True, exist_ok=True)
     write_bfile("A000108", cat)

@@ -1,8 +1,16 @@
 """Exact counting and identity verification.
 
 All values are exact integers kept inside the signed 64-bit range; leaving
-it raises Overflow instead of wrapping.  Enumeration-backed counts carry a
-budget cap (default n <= 12) so a full run stays desk-scale.
+it raises Overflow instead of wrapping.
+
+``count_C``, ``count_E`` and ``count_partial_E`` (and so ``verify_identity``)
+count by a polynomial walk over vacillating tableaux (Chen, Deng, Du,
+Stanley and Yan): a partition of [n] has no k-crossing exactly when its
+tableau never has more than k-1 rows.  Exhaustive enumeration of all
+partitions is kept as the independent route: it runs when a count is split
+into ``parts > 1`` sub-ranges, and ``count_table`` (behind ``oeis-check``)
+always uses it, because the bundled A108304/A108307 snapshots come from the
+same walk.  Both routes keep the budget cap (default n <= 12).
 """
 from __future__ import annotations
 
@@ -18,6 +26,7 @@ from .crossings import _find_crossing, _check_k
 from .errors import Overflow, OutOfBudget, OutOfRange
 from .partition import (
     EnumerationRange,
+    _check_n,
     _iter_labels,
     enumerate_full,
     split_range,
@@ -136,9 +145,67 @@ def count_range(rng: EnumerationRange, k: int, enhanced: bool) -> int:
     return total
 
 
+def _add_corners(shape: tuple[int, ...], rows: int) -> list[tuple[int, ...]]:
+    """Shapes obtained by adding one cell, keeping at most ``rows`` rows."""
+    res = []
+    for i in range(len(shape)):
+        if i == 0 or shape[i - 1] > shape[i]:
+            res.append(shape[:i] + (shape[i] + 1,) + shape[i + 1 :])
+    if len(shape) < rows:
+        res.append(shape + (1,))
+    return res
+
+
+def _remove_corners(shape: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Shapes obtained by removing one corner cell."""
+    res = []
+    for i in range(len(shape)):
+        if i == len(shape) - 1 or shape[i] > shape[i + 1]:
+            t = shape[:i] + (shape[i] - 1,) + shape[i + 1 :]
+            res.append(tuple(x for x in t if x))
+    return res
+
+
+def _walk(k: int, n: int, enhanced: bool, partial: bool) -> int:
+    """Closed walks of length n on shapes with at most k-1 rows.
+
+    One step per element of [n].  Classical: remove a corner or do nothing,
+    then add a corner or do nothing.  Enhanced: one of (nothing, add),
+    (remove, nothing) or (add, remove).  ``partial`` adds a step that keeps
+    the shape, for an element absent from the ground subset.
+    """
+    rows = k - 1
+    states = {(): 1}
+    for _ in range(n):
+        nxt: dict[tuple[int, ...], int] = {}
+        for shape, c in states.items():
+            if enhanced:
+                added = _add_corners(shape, rows)
+                targets = added + _remove_corners(shape)
+                for a in added:
+                    targets += _remove_corners(a)
+            else:
+                targets = [
+                    t
+                    for removed in [shape] + _remove_corners(shape)
+                    for t in [removed] + _add_corners(removed, rows)
+                ]
+            if partial:
+                targets.append(shape)
+            for t in targets:
+                nxt[t] = nxt.get(t, 0) + c
+        states = nxt
+    return checked(states.get((), 0))
+
+
 def _count(k: int, n: int, enhanced: bool, partial: bool, parts: int) -> int:
-    if parts == 1 and not partial:
-        return _count_cached(k, n, enhanced)
+    if parts == 1:
+        _check_n(n)
+        return _walk(k, n, enhanced, partial)
+    return _count_enum(k, n, enhanced, partial, parts)
+
+
+def _count_enum(k: int, n: int, enhanced: bool, partial: bool, parts: int) -> int:
     total = 0
     for rng in split_range(n, parts, partial=partial):
         total = checked(total + count_range(rng, k, enhanced))
@@ -146,12 +213,8 @@ def _count(k: int, n: int, enhanced: bool, partial: bool, parts: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _count_cached(k: int, n: int, enhanced: bool) -> int:
-    total = 0
-    for labels in _iter_labels(n, partial=False):
-        if _avoids(labels, k, enhanced):
-            total += 1
-    return checked(total)
+def _count_cached(k: int, n: int, enhanced: bool, partial: bool) -> int:
+    return _count_enum(k, n, enhanced, partial, parts=1)
 
 
 def count_C(k: int, n: int, parts: int = 1, budget: int = DEFAULT_BUDGET) -> int:
@@ -315,17 +378,18 @@ def distribution_table(n: int, k_max: int, budget: int = 9) -> DistributionTable
 
 
 def count_table(family: str, k: Optional[int], n_max: int, budget: int = DEFAULT_BUDGET) -> SequenceTable:
-    """Tabulate one counting family for n = 0..n_max."""
+    """Tabulate one counting family for n = 0..n_max.
+
+    Counts come from enumeration, never from the walk, so comparing them
+    with the walk-generated snapshots is an independent check.
+    """
     table = SequenceTable()
     for n in range(n_max + 1):
-        if family == FAMILY_C:
-            value = count_C(k, n, budget=budget)
-        elif family == FAMILY_E:
-            value = count_E(k, n, budget=budget)
-        elif family == FAMILY_PARTIAL_E:
-            value = count_partial_E(k, n, budget=budget)
-        elif family == FAMILY_BELL:
+        if family == FAMILY_BELL:
             value = bell(n)
+        elif family in (FAMILY_C, FAMILY_E, FAMILY_PARTIAL_E):
+            _check_budget(k, n, budget)
+            value = _count_cached(k, n, family != FAMILY_C, family == FAMILY_PARTIAL_E)
         else:
             raise OutOfRange(f"unknown family {family!r}")
         table.add(family, k, n, value)

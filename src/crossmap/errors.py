@@ -50,7 +50,8 @@ class NetworkError(CrossmapError):
 
 
 class ParseError(CrossmapError):
-    """A b-file line does not match `index value`."""
+    """Text does not parse: a b-file line that does not match `index value`,
+    or partition text rejected by ``parse_text``."""
 
 
 class NoOverlap(CrossmapError):

@@ -3,8 +3,8 @@
 Snapshots live under ``crossmap/data`` in plain b-file format and are the
 default for tests (no network).  ``fetch_bfile`` downloads the live b-file,
 caches the raw bytes under ``$CROSSMAP_CACHE_DIR`` (default
-``~/.cache/crossmap``), and falls back to the cache when offline.  Both
-paths go through the same parser.
+``~/.cache/crossmap``) once they parse, and falls back to the cache when
+offline.  Both paths go through the same parser.
 """
 from __future__ import annotations
 
@@ -114,14 +114,19 @@ def fetch_bfile(oeis_id: str, limit: int, timeout: float = DEFAULT_TIMEOUT) -> R
         if resp.status_code == 404:
             raise UnknownId(f"OEIS has no b-file for {oeis_id}")
         resp.raise_for_status()
-        _atomic_write(cache, resp.content)
         text = resp.text
     except (requests.RequestException, OSError) as exc:
         if cache.exists():
-            text = cache.read_text()
-        else:
-            raise NetworkError(f"cannot fetch {url} and no cache exists: {exc}") from exc
-    return parse_bfile(text, oeis_id, source="fetched", limit=limit)
+            return parse_bfile(cache.read_text(), oeis_id, source="fetched", limit=limit)
+        raise NetworkError(f"cannot fetch {url} and no cache exists: {exc}") from exc
+    # Only a body that parses is cached, so a bad payload cannot poison the
+    # offline fallback.
+    try:
+        ref = parse_bfile(text, oeis_id, source="fetched", limit=limit)
+    except ParseError as exc:
+        raise NetworkError(f"{url} did not return a b-file: {exc}") from exc
+    _atomic_write(cache, resp.content)
+    return ref
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from crossmap import counting
 from crossmap.counting import (
     DEFAULT_BUDGET,
     INT64_MAX,
@@ -13,12 +14,14 @@ from crossmap.counting import (
     count_C,
     count_E,
     count_partial_E,
+    count_range,
     count_table,
     distribution_table,
     verify_eigensequence,
     verify_identity,
 )
 from crossmap.errors import InvalidK, Overflow, OutOfBudget, OutOfRange
+from crossmap.partition import split_range
 
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
@@ -101,6 +104,51 @@ class TestCounts:
         assert count_C(3, 7, parts=parts) == 859
         assert count_E(3, 7, parts=parts) == 772
         assert count_partial_E(2, 5, parts=parts) == count_partial_E(2, 5)
+
+
+def _enumerated(k, n, enhanced, partial=False):
+    return count_range(split_range(n, 1, partial=partial)[0], k, enhanced)
+
+
+def _no_walk(*args):
+    raise AssertionError("the tableau walk must not run here")
+
+
+class TestWalk:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_classical_matches_enumeration(self, k):
+        for n in range(10):
+            assert count_C(k, n) == _enumerated(k, n, enhanced=False), n
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_enhanced_matches_enumeration(self, k):
+        for n in range(10):
+            assert count_E(k, n) == _enumerated(k, n, enhanced=True), n
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_partial_enhanced_matches_enumeration(self, k):
+        for n in range(9):
+            assert count_partial_E(k, n) == _enumerated(k, n, enhanced=True, partial=True), n
+
+    def test_closed_forms_at_the_ground_set_cap(self):
+        # Catalan(20) and Motzkin(20); Bell(20) items would take hours to enumerate
+        assert count_C(2, 20, budget=20) == 6564120420
+        assert count_E(2, 20, budget=20) == 50852019
+        with pytest.raises(OutOfRange):
+            count_partial_E(2, 21, budget=21)
+
+    def test_parts_route_enumerates(self, monkeypatch):
+        monkeypatch.setattr(counting, "_walk", _no_walk)
+        assert count_C(3, 7, parts=2) == 859
+        assert count_partial_E(2, 5, parts=3) == _enumerated(2, 5, enhanced=True, partial=True)
+
+    def test_count_table_keeps_enumeration_route(self, monkeypatch):
+        counting._count_cached.cache_clear()
+        monkeypatch.setattr(counting, "_walk", _no_walk)
+        table = count_table("C", 3, 9)
+        assert list(table.values("C", 3).values()) == [
+            1, 1, 2, 5, 15, 52, 202, 859, 3930, 19095
+        ]
 
 
 class TestIdentity:

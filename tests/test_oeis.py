@@ -2,6 +2,7 @@ import requests
 import pytest
 
 from crossmap import counting
+from crossmap.cli import main
 from crossmap.errors import NetworkError, NoOverlap, ParseError, UnknownId
 from crossmap.oeis import (
     BUNDLED_IDS,
@@ -102,6 +103,21 @@ class TestFetch:
         monkeypatch.setattr(requests, "get", boom)
         with pytest.raises(NetworkError):
             fetch_bfile("A001006", limit=10)
+
+    def test_bad_payload_is_network_error_and_not_cached(self, monkeypatch, capsys):
+        monkeypatch.setattr(requests, "get", lambda url, timeout: _FakeResponse(text="<html>"))
+        with pytest.raises(NetworkError):
+            fetch_bfile("A001006", limit=10)
+        assert main(["oeis-check", "--id", "A001006", "--fetch"]) == 4
+        assert "did not return a b-file" in capsys.readouterr().err
+        assert not (self.tmp / "b001006.txt").exists()
+
+    def test_bad_payload_keeps_earlier_cache(self, monkeypatch):
+        (self.tmp / "b001006.txt").write_text("0 1\n1 1\n2 2\n")
+        monkeypatch.setattr(requests, "get", lambda url, timeout: _FakeResponse(text="<html>"))
+        with pytest.raises(NetworkError):
+            fetch_bfile("A001006", limit=10)
+        assert (self.tmp / "b001006.txt").read_text() == "0 1\n1 1\n2 2\n"
 
     def test_http_404(self, monkeypatch):
         monkeypatch.setattr(requests, "get", lambda url, timeout: _FakeResponse(404))
