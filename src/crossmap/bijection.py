@@ -5,39 +5,44 @@ image; every singleton u merges u with u+1; untouched vertices of [n+1]
 stay singletons.  In arc terms, each enhanced arc (x, y) of the source
 becomes the classical arc (x, y+1) of the image, which is why enhanced
 k-crossings (and k-nestings) map onto classical ones.
+
+Both directions run in O(n) on label arrays: they fill ``succ[x]``, the
+next element of x's block in the result (x itself at a block's end, 0 when
+x is absent), and label each chain from its smallest element.
 """
 from __future__ import annotations
 
-from .arcs import Arc, CLASSICAL, ENHANCED, arcs_classical, arcs_enhanced
+from .arcs import Arc, CLASSICAL, ENHANCED
 from .crossings import CrossingWitness
-from .partition import PartialPartition, from_blocks, require_full
+from .partition import PartialPartition, require_full
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, x: int, y: int) -> None:
-        self.parent[self.find(x)] = self.find(y)
+def _from_successors(succ: list[int], n: int) -> PartialPartition:
+    """The partition of a subset of [n] whose blocks are the chains of ``succ``."""
+    labels = [0] * n
+    blocks = 0
+    for x in range(1, n + 1):
+        if succ[x] and not labels[x - 1]:
+            blocks += 1
+            y = x
+            labels[y - 1] = blocks
+            while succ[y] != y:
+                y = succ[y]
+                labels[y - 1] = blocks
+    return PartialPartition(n, tuple(labels))
 
 
 def forward(p: PartialPartition) -> PartialPartition:
     """Map a partition of a subset of [n] to a full partition of [n+1]."""
-    n1 = p.n + 1
-    uf = _UnionFind(n1 + 1)
-    for arc in arcs_enhanced(p):
-        uf.union(arc.left, arc.right + 1)
-    groups: dict[int, list[int]] = {}
-    for e in range(1, n1 + 1):
-        groups.setdefault(uf.find(e), []).append(e)
-    return from_blocks(n1, list(groups.values()))
+    succ = list(range(p.n + 2))
+    last = [0] * (p.num_blocks + 1)
+    for e, v in enumerate(p.labels, start=1):
+        if v:
+            # a < e consecutive give a -> e+1; a first element u gets u -> u+1,
+            # which stands only if u stays a singleton.
+            succ[last[v] or e] = e + 1
+            last[v] = e
+    return _from_successors(succ, p.n + 1)
 
 
 def reverse(q: PartialPartition) -> PartialPartition:
@@ -46,20 +51,14 @@ def reverse(q: PartialPartition) -> PartialPartition:
     Raises NotFull when q has absent elements.
     """
     require_full(q)
-    n = q.n - 1
-    uf = _UnionFind(n + 1)
-    present: set[int] = set()
-    for arc in arcs_classical(q):
-        if arc.right == arc.left + 1:
-            present.add(arc.left)  # unit arc collapses to a singleton
-        else:
-            present.add(arc.left)
-            present.add(arc.right - 1)
-            uf.union(arc.left, arc.right - 1)
-    groups: dict[int, list[int]] = {}
-    for e in sorted(present):
-        groups.setdefault(uf.find(e), []).append(e)
-    return from_blocks(n, list(groups.values()))
+    succ = [0] * q.n
+    last = [0] * (q.num_blocks + 1)
+    for e, v in enumerate(q.labels, start=1):
+        if last[v]:  # a < e consecutive give a -> e-1; a unit pair a loop
+            succ[last[v]] = e - 1
+            succ[e - 1] = e - 1  # e-1's own successor, if any, comes later
+        last[v] = e
+    return _from_successors(succ, q.n - 1)
 
 
 def witness_forward(w: CrossingWitness) -> CrossingWitness:

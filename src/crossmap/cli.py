@@ -78,9 +78,11 @@ def _cmd_map(args) -> int:
     image = reverse(p) if args.reverse else forward(p)
     print(image.to_text())
     if args.witnesses:
-        src = image if args.reverse else p
+        # The classical side is forward(src): the image, or in reverse mode
+        # the input itself, since forward(reverse(p)) == p.
+        src, dst = (image, p) if args.reverse else (p, image)
         src_arcs = arcs_enhanced(src)
-        dst_arcs = arcs_classical(forward(src))
+        dst_arcs = arcs_classical(dst)
         for k in range(1, args.witnesses + 1):
             for kind, finder in ((CROSSING, find_k_crossing), (NESTING, find_k_nesting)):
                 enh = count_k_witnesses(src_arcs, k, kind, ENHANCED)

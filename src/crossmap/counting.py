@@ -301,8 +301,11 @@ def verify_eigensequence(n: int, budget: int = DEFAULT_BUDGET) -> IdentityReport
     for t in terms:
         rhs = checked(rhs + t)
 
-    enumerated = sum(1 for _ in enumerate_full(n + 1))
-    images = {reverse(q).labels for q in enumerate_full(n + 1)}
+    enumerated = 0
+    images = set()
+    for q in enumerate_full(n + 1):
+        enumerated += 1
+        images.add(reverse(q).labels)
     partial_total = sum(1 for _ in _iter_labels(n, partial=True))
     routes = {
         "triangle": lhs == rhs,

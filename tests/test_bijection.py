@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossmap.arcs import (
     Arc,
@@ -13,6 +15,7 @@ from crossmap.crossings import (
     CROSSING,
     NESTING,
     CrossingWitness,
+    _is_witness,
     count_k_witnesses,
     find_k_crossing,
     find_k_nesting,
@@ -28,6 +31,8 @@ from crossmap.partition import (
     from_blocks,
     parse_text,
 )
+
+from crossmap.counting import bell
 
 PAPER_PI = "9:1,4,7,9/2,5/3/6"
 PAPER_PI_HAT = "10:1,5/2,6,7,10/3,4,8/9"
@@ -112,8 +117,6 @@ class TestWitnessTransport:
                         continue
                     image = witness_forward(w)
                     assert set(image.arcs) <= q_arcs
-                    from crossmap.crossings import _is_witness
-
                     assert _is_witness(image.arcs, kind, strict=True)
 
 
@@ -137,3 +140,95 @@ class TestStatisticTransport:
         for p in enumerate_partial(n):
             shifted = [d + 1 for d in distance_multiset(arcs_enhanced(p))]
             assert shifted == distance_multiset(arcs_classical(forward(p)))
+
+
+def oracle_forward(p):
+    """Forward image by the paper's rule, through a plain union-find.
+
+    Consecutive v < w of a block merge v with w+1, a singleton u merges u
+    with u+1, and every other element of [n+1] stays alone.
+    """
+    n1 = p.n + 1
+    parent = list(range(n1 + 1))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for b in p.blocks():
+        for v, w in zip(b, b[1:]) if len(b) > 1 else [(b[0], b[0])]:
+            parent[root(v)] = root(w + 1)
+    groups = {}
+    for e in range(1, n1 + 1):
+        groups.setdefault(root(e), []).append(e)
+    return from_blocks(n1, list(groups.values()))
+
+
+class TestOracle:
+    @pytest.mark.parametrize("n", range(9))
+    def test_forward_matches_oracle(self, n):
+        for p in enumerate_partial(n):
+            assert forward(p) == oracle_forward(p)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_reverse_inverts_oracle(self, n):
+        preimage = {oracle_forward(p): p for p in enumerate_partial(n)}
+        assert len(preimage) == bell(n + 1)
+        for q in enumerate_full(n + 1):
+            assert reverse(q) == preimage[q]
+
+
+@st.composite
+def partitions(draw, n_max, full):
+    """A random partition of [n] (``full``) or of a subset of [n], n <= n_max."""
+    n = draw(st.integers(1 if full else 0, n_max))
+    labels, top = [], 0
+    for _ in range(n):
+        v = draw(st.integers(1 if full else 0, top + 1))
+        top = max(top, v)
+        labels.append(v)
+    return PartialPartition(n, tuple(labels))
+
+
+# Shared machines make per-example timing noisy; these tests check results only.
+derandomized = settings(derandomize=True, deadline=None)
+FINDERS = ((find_k_crossing, CROSSING), (find_k_nesting, NESTING))
+
+
+class TestProperties:
+    @derandomized
+    @given(partitions(19, full=False))
+    def test_reverse_of_forward(self, p):
+        assert reverse(forward(p)) == p
+
+    @derandomized
+    @given(partitions(20, full=True))
+    def test_forward_of_reverse(self, q):
+        assert forward(reverse(q)) == q
+
+    @derandomized
+    @given(partitions(19, full=False))
+    def test_witness_forward_transport(self, p):
+        q_arcs = set(arcs_classical(forward(p)).arcs)
+        for k in range(1, 5):
+            for finder, kind in FINDERS:
+                w = finder(arcs_enhanced(p), k, ENHANCED)
+                if w is not None:
+                    image = witness_forward(w)
+                    assert set(image.arcs) <= q_arcs
+                    assert _is_witness(image.arcs, kind, strict=True)
+                    assert witness_reverse(image) == w
+
+    @derandomized
+    @given(partitions(20, full=True))
+    def test_witness_reverse_transport(self, q):
+        p_arcs = set(arcs_enhanced(reverse(q)).arcs)
+        for k in range(1, 5):
+            for finder, kind in FINDERS:
+                w = finder(arcs_classical(q), k, CLASSICAL)
+                if w is not None:
+                    back = witness_reverse(w)
+                    assert set(back.arcs) <= p_arcs
+                    assert _is_witness(back.arcs, kind, strict=False)
+                    assert witness_forward(back) == w

@@ -3,12 +3,24 @@ import json
 import pytest
 import requests
 
-from crossmap import counting
+from crossmap import cli, counting
+from crossmap.bijection import forward
 from crossmap.cli import main
 from crossmap.counting import IdentityReport
 
 PAPER_PI = "9:1,4,7,9/2,5/3/6"
 PAPER_PI_HAT = "10:1,5/2,6,7,10/3,4,8/9"
+
+#: ``map --witnesses 3`` of the paper's example after its first line; the
+#: same whichever side is given, since both print the source's table.
+WITNESS_TABLE = """\
+k=1 crossing: enhanced=6 classical=6 witness={"kind": "crossing", "mode": "enhanced", "arcs": [[1, 4]]} image={"kind": "crossing", "mode": "classical", "arcs": [[1, 5]]}
+k=1 nesting: enhanced=6 classical=6 witness={"kind": "nesting", "mode": "enhanced", "arcs": [[1, 4]]} image={"kind": "nesting", "mode": "classical", "arcs": [[1, 5]]}
+k=2 crossing: enhanced=4 classical=4 witness={"kind": "crossing", "mode": "enhanced", "arcs": [[1, 4], [2, 5]]} image={"kind": "crossing", "mode": "classical", "arcs": [[1, 5], [2, 6]]}
+k=2 nesting: enhanced=3 classical=3 witness={"kind": "nesting", "mode": "enhanced", "arcs": [[1, 4], [3, 3]]} image={"kind": "nesting", "mode": "classical", "arcs": [[1, 5], [3, 4]]}
+k=3 crossing: enhanced=1 classical=1 witness={"kind": "crossing", "mode": "enhanced", "arcs": [[1, 4], [2, 5], [4, 7]]} image={"kind": "crossing", "mode": "classical", "arcs": [[1, 5], [2, 6], [4, 8]]}
+k=3 nesting: enhanced=0 classical=0
+"""
 
 
 def run(capsys, *argv):
@@ -116,6 +128,21 @@ class TestMap:
             "mode": "enhanced",
             "arcs": [[1, 4], [2, 5], [4, 7]],
         }
+
+    def test_witness_table_bytes(self, capsys):
+        code, out, _ = run(capsys, "map", "--input", PAPER_PI, "--witnesses", "3")
+        assert code == 0 and out == PAPER_PI_HAT + "\n" + WITNESS_TABLE
+        code, out, _ = run(
+            capsys, "map", "--input", PAPER_PI_HAT, "--reverse", "--witnesses", "3"
+        )
+        assert code == 0 and out == PAPER_PI + "\n" + WITNESS_TABLE
+
+    @pytest.mark.parametrize("argv, calls", [((PAPER_PI,), 1), ((PAPER_PI_HAT, "--reverse"), 0)])
+    def test_witness_table_maps_once(self, capsys, monkeypatch, argv, calls):
+        seen = []
+        monkeypatch.setattr(cli, "forward", lambda p: seen.append(p) or forward(p))
+        code, _, _ = run(capsys, "map", "--input", *argv, "--witnesses", "3")
+        assert code == 0 and len(seen) == calls
 
     def test_bad_input_exit_2(self, capsys):
         code, _, err = run(capsys, "map", "--input", "nonsense")

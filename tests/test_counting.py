@@ -21,7 +21,7 @@ from crossmap.counting import (
     verify_identity,
 )
 from crossmap.errors import InvalidK, Overflow, OutOfBudget, OutOfRange
-from crossmap.partition import split_range
+from crossmap.partition import parse_text, split_range
 
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
@@ -194,6 +194,25 @@ class TestEigensequence:
     def test_n7(self):
         r = verify_eigensequence(7)
         assert r.lhs == 4140 and r.holds
+
+    def test_reverse_runs_once_per_partition(self, monkeypatch):
+        calls = []
+        real = counting.reverse
+
+        def counted(q):
+            calls.append(q)
+            return real(q)
+
+        monkeypatch.setattr(counting, "reverse", counted)
+        assert verify_eigensequence(6).holds
+        assert len(calls) == bell(7)
+
+    def test_bijection_route_catches_a_non_injective_map(self, monkeypatch):
+        constant = parse_text("6:1/2/3/4/5/6")
+        monkeypatch.setattr(counting, "reverse", lambda q: constant)
+        r = verify_eigensequence(6)
+        assert r.routes == {"triangle": True, "enumeration": True, "bijection": False}
+        assert not r.holds
 
 
 class TestDistribution:

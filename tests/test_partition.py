@@ -83,6 +83,7 @@ class TestBlocksOf:
     def test_simple(self):
         assert blocks_of(PartialPartition(3, (1, 1, 2))) == [[1, 2], [3]]
 
+    @settings(derandomize=True)
     @given(
         st.integers(0, 8).flatmap(
             lambda n: st.lists(st.integers(1, max(n, 1)), max_size=n, unique=True).map(
