@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from .arcs import Arc, CLASSICAL, ENHANCED
 from .crossings import CrossingWitness
+from .errors import OutOfRange
 from .partition import PartialPartition, require_full
 
 
@@ -48,9 +49,12 @@ def forward(p: PartialPartition) -> PartialPartition:
 def reverse(q: PartialPartition) -> PartialPartition:
     """Map a full partition of [n+1] back to a partition of a subset of [n].
 
-    Raises NotFull when q has absent elements.
+    Raises NotFull when q has absent elements and OutOfRange when q is the
+    partition of the empty set, which is no partition of [n+1].
     """
     require_full(q)
+    if q.n == 0:
+        raise OutOfRange("reverse needs a partition of [n+1] with n >= 0, got one of [0]")
     succ = [0] * q.n
     last = [0] * (q.num_blocks + 1)
     for e, v in enumerate(q.labels, start=1):

@@ -1,10 +1,12 @@
 """Reference integer sequences: bundled snapshots and OEIS b-file fetching.
 
 Snapshots live under ``crossmap/data`` in plain b-file format and are the
-default for tests (no network).  ``fetch_bfile`` downloads the live b-file,
-caches the raw bytes under ``$CROSSMAP_CACHE_DIR`` (default
-``~/.cache/crossmap``) once they parse, and falls back to the cache when
-offline.  Both paths go through the same parser.
+default for tests (no network).  ``fetch_bfile`` downloads the live b-file
+with the standard library's ``urllib.request``, caches the raw bytes under
+``$CROSSMAP_CACHE_DIR`` (default ``~/.cache/crossmap``) once they parse, and
+falls back to the cache when offline.  Both paths go through the same
+parser.  ``urllib`` is imported inside ``fetch_bfile``, so only a fetch
+loads ``http.client`` and ``ssl``; every other command starts without them.
 """
 from __future__ import annotations
 
@@ -15,8 +17,6 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional
-
-import requests
 
 from .errors import NetworkError, NoOverlap, ParseError, UnknownId
 from .counting import SequenceTable
@@ -107,25 +107,30 @@ def fetch_bfile(oeis_id: str, limit: int, timeout: float = DEFAULT_TIMEOUT) -> R
     _check_id(oeis_id)
     if limit < 1:
         raise ParseError(f"limit must be >= 1, got {limit}")
+    import http.client
+    import urllib.error
+    import urllib.request
+
     url = _BFILE_URL.format(id=oeis_id, digits=oeis_id[1:])
     cache = _cache_path(oeis_id)
     try:
-        resp = requests.get(url, timeout=timeout)
-        if resp.status_code == 404:
-            raise UnknownId(f"OEIS has no b-file for {oeis_id}")
-        resp.raise_for_status()
-        text = resp.text
-    except (requests.RequestException, OSError) as exc:
+        with urllib.request.urlopen(url, timeout=timeout) as resp:
+            content = resp.read()
+    # HTTPError, URLError and timeouts are OSErrors; a truncated body
+    # (IncompleteRead) is an HTTPException.
+    except (OSError, http.client.HTTPException) as exc:
+        if isinstance(exc, urllib.error.HTTPError) and exc.code == 404:
+            raise UnknownId(f"OEIS has no b-file for {oeis_id}") from None
         if cache.exists():
             return parse_bfile(cache.read_text(), oeis_id, source="fetched", limit=limit)
         raise NetworkError(f"cannot fetch {url} and no cache exists: {exc}") from exc
     # Only a body that parses is cached, so a bad payload cannot poison the
     # offline fallback.
     try:
-        ref = parse_bfile(text, oeis_id, source="fetched", limit=limit)
-    except ParseError as exc:
+        ref = parse_bfile(content.decode("utf-8"), oeis_id, source="fetched", limit=limit)
+    except (UnicodeDecodeError, ParseError) as exc:
         raise NetworkError(f"{url} did not return a b-file: {exc}") from exc
-    _atomic_write(cache, resp.content)
+    _atomic_write(cache, content)
     return ref
 
 

@@ -53,7 +53,7 @@ class PartialPartition:
 
     @property
     def is_full(self) -> bool:
-        return all(v != 0 for v in self.labels)
+        return 0 not in self.labels
 
     @property
     def is_empty(self) -> bool:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+import urllib.error
+import urllib.request
+from pathlib import Path
 
 import pytest
-import requests
 
 from crossmap import cli, counting
 from crossmap.bijection import forward
@@ -148,6 +153,11 @@ class TestMap:
         code, _, err = run(capsys, "map", "--input", "nonsense")
         assert code == 2
 
+    def test_reverse_of_empty_ground_set_exit_2(self, capsys):
+        code, out, err = run(capsys, "map", "--reverse", "--input", "0:")
+        assert code == 2 and out == ""
+        assert err == "error: reverse needs a partition of [n+1] with n >= 0, got one of [0]\n"
+
 
 class TestRender:
     def test_writes_file(self, capsys, tmp_path):
@@ -177,11 +187,23 @@ class TestOeisCheck:
         monkeypatch.setenv("CROSSMAP_CACHE_DIR", str(tmp_path))
 
         def boom(url, timeout):
-            raise requests.ConnectionError("offline")
+            raise urllib.error.URLError("offline")
 
-        monkeypatch.setattr(requests, "get", boom)
+        monkeypatch.setattr(urllib.request, "urlopen", boom)
         code, _, err = run(capsys, "oeis-check", "--id", "A000110", "--fetch")
         assert code == 4
+
+    def test_fetch_offline_serves_seeded_cache(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("CROSSMAP_CACHE_DIR", str(tmp_path))
+        snapshot = Path(cli.__file__).parent / "data" / "b000110.txt"
+        (tmp_path / "b000110.txt").write_bytes(snapshot.read_bytes())
+
+        def boom(url, timeout):
+            raise urllib.error.URLError("offline")
+
+        monkeypatch.setattr(urllib.request, "urlopen", boom)
+        code, out, _ = run(capsys, "oeis-check", "--id", "A000110", "--fetch")
+        assert code == 0 and out == "OK (13 terms compared)\n"
 
 
 class TestBellCheck:
@@ -191,3 +213,23 @@ class TestBellCheck:
         assert code == 0 and len(lines) == 7
         assert all(l.endswith("OK") for l in lines)
         assert "triangle=OK enumeration=OK bijection=OK" in lines[-1]
+
+
+class TestColdStart:
+    def test_cli_import_loads_no_network_stack(self):
+        # Only ``oeis-check --fetch`` needs HTTP; importing the network stack
+        # at start-up would double the wall time of every other command.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import crossmap.cli\n"
+            "network = {'requests', 'urllib.request', 'http.client', 'ssl'}\n"
+            "print(sorted(network & (set(sys.modules) - before)))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"

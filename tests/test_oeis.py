@@ -1,4 +1,8 @@
-import requests
+import http.client
+import io
+import urllib.error
+import urllib.request
+
 import pytest
 
 from crossmap import counting
@@ -62,15 +66,23 @@ class TestParse:
         assert ref.values == (1, 2)
 
 
-class _FakeResponse:
-    def __init__(self, status_code=200, text=""):
-        self.status_code = status_code
-        self.text = text
-        self.content = text.encode()
+class _FakeResponse(io.BytesIO):
+    """The body ``urlopen`` returns: a readable context manager."""
 
-    def raise_for_status(self):
-        if self.status_code >= 400:
-            raise requests.HTTPError(f"{self.status_code}")
+
+def _serve(body: bytes):
+    return lambda url, timeout: _FakeResponse(body)
+
+
+def _fail(exc: Exception):
+    def urlopen(url, timeout):
+        raise exc
+
+    return urlopen
+
+
+def _http_error(code: int) -> urllib.error.HTTPError:
+    return urllib.error.HTTPError("https://oeis.org/", code, "status", None, None)
 
 
 class TestFetch:
@@ -78,49 +90,81 @@ class TestFetch:
     def _tmp_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CROSSMAP_CACHE_DIR", str(tmp_path))
         self.tmp = tmp_path
+        self.cached = tmp_path / "b001006.txt"
 
     def test_fetch_writes_cache(self, monkeypatch):
         body = "0 1\n1 1\n2 2\n3 4\n4 9\n"
-        monkeypatch.setattr(requests, "get", lambda url, timeout: _FakeResponse(text=body))
+        monkeypatch.setattr(urllib.request, "urlopen", _serve(body.encode()))
         ref = fetch_bfile("A001006", limit=10)
         assert ref.values == (1, 1, 2, 4, 9) and ref.source == "fetched"
-        assert (self.tmp / "b001006.txt").read_text() == body
+        assert self.cached.read_text() == body
+
+    def test_cache_stores_raw_bytes(self, monkeypatch):
+        body = b"# A001006\r\n0 1\r\n1 1\r\n"
+        monkeypatch.setattr(urllib.request, "urlopen", _serve(body))
+        assert fetch_bfile("A001006", limit=10).values == (1, 1)
+        assert self.cached.read_bytes() == body
 
     def test_offline_falls_back_to_cache(self, monkeypatch):
-        (self.tmp / "b001006.txt").write_text("0 1\n1 1\n2 2\n")
-
-        def boom(url, timeout):
-            raise requests.ConnectionError("offline")
-
-        monkeypatch.setattr(requests, "get", boom)
+        self.cached.write_text("0 1\n1 1\n2 2\n")
+        monkeypatch.setattr(urllib.request, "urlopen", _fail(urllib.error.URLError("offline")))
         ref = fetch_bfile("A001006", limit=10)
         assert ref.values == (1, 1, 2)
 
     def test_offline_without_cache(self, monkeypatch):
-        def boom(url, timeout):
-            raise requests.ConnectionError("offline")
-
-        monkeypatch.setattr(requests, "get", boom)
+        monkeypatch.setattr(urllib.request, "urlopen", _fail(urllib.error.URLError("offline")))
         with pytest.raises(NetworkError):
             fetch_bfile("A001006", limit=10)
 
+    def test_timeout_without_cache(self, monkeypatch):
+        monkeypatch.setattr(urllib.request, "urlopen", _fail(TimeoutError("timed out")))
+        with pytest.raises(NetworkError):
+            fetch_bfile("A001006", limit=10)
+
+    def test_http_503_falls_back_to_cache(self, monkeypatch):
+        self.cached.write_text("0 1\n1 1\n2 2\n")
+        monkeypatch.setattr(urllib.request, "urlopen", _fail(_http_error(503)))
+        assert fetch_bfile("A001006", limit=10).values == (1, 1, 2)
+
+    def test_http_503_without_cache(self, monkeypatch):
+        monkeypatch.setattr(urllib.request, "urlopen", _fail(_http_error(503)))
+        with pytest.raises(NetworkError):
+            fetch_bfile("A001006", limit=10)
+        assert not self.cached.exists()
+
+    def test_incomplete_read_is_network_error_and_not_cached(self, monkeypatch):
+        class Truncated(_FakeResponse):
+            def read(self):
+                raise http.client.IncompleteRead(b"0 1\n1 ", 100)
+
+        monkeypatch.setattr(urllib.request, "urlopen", lambda url, timeout: Truncated())
+        with pytest.raises(NetworkError):
+            fetch_bfile("A001006", limit=10)
+        assert not self.cached.exists()
+
+    def test_non_utf8_body_is_network_error_and_not_cached(self, monkeypatch):
+        monkeypatch.setattr(urllib.request, "urlopen", _serve(b"0 1\n1 \xff\n"))
+        with pytest.raises(NetworkError, match="did not return a b-file"):
+            fetch_bfile("A001006", limit=10)
+        assert not self.cached.exists()
+
     def test_bad_payload_is_network_error_and_not_cached(self, monkeypatch, capsys):
-        monkeypatch.setattr(requests, "get", lambda url, timeout: _FakeResponse(text="<html>"))
+        monkeypatch.setattr(urllib.request, "urlopen", _serve(b"<html>"))
         with pytest.raises(NetworkError):
             fetch_bfile("A001006", limit=10)
         assert main(["oeis-check", "--id", "A001006", "--fetch"]) == 4
         assert "did not return a b-file" in capsys.readouterr().err
-        assert not (self.tmp / "b001006.txt").exists()
+        assert not self.cached.exists()
 
     def test_bad_payload_keeps_earlier_cache(self, monkeypatch):
-        (self.tmp / "b001006.txt").write_text("0 1\n1 1\n2 2\n")
-        monkeypatch.setattr(requests, "get", lambda url, timeout: _FakeResponse(text="<html>"))
+        self.cached.write_text("0 1\n1 1\n2 2\n")
+        monkeypatch.setattr(urllib.request, "urlopen", _serve(b"<html>"))
         with pytest.raises(NetworkError):
             fetch_bfile("A001006", limit=10)
-        assert (self.tmp / "b001006.txt").read_text() == "0 1\n1 1\n2 2\n"
+        assert self.cached.read_text() == "0 1\n1 1\n2 2\n"
 
     def test_http_404(self, monkeypatch):
-        monkeypatch.setattr(requests, "get", lambda url, timeout: _FakeResponse(404))
+        monkeypatch.setattr(urllib.request, "urlopen", _fail(_http_error(404)))
         with pytest.raises(UnknownId):
             fetch_bfile("A999999", limit=5)
 
