@@ -5,7 +5,6 @@ classical ones."""
 from .partition import (
     PartialPartition,
     from_blocks,
-    blocks_of,
     parse_text,
     enumerate_full,
     enumerate_partial,
@@ -14,7 +13,6 @@ from .partition import (
 from .arcs import Arc, ArcSet, arcs_classical, arcs_enhanced, distance_multiset
 from .crossings import (
     CrossingWitness,
-    CrossingReport,
     find_k_crossing,
     find_k_nesting,
     max_crossing_number,
@@ -41,7 +39,6 @@ __version__ = "0.1.0"
 __all__ = [
     "PartialPartition",
     "from_blocks",
-    "blocks_of",
     "parse_text",
     "enumerate_full",
     "enumerate_partial",
@@ -52,7 +49,6 @@ __all__ = [
     "arcs_enhanced",
     "distance_multiset",
     "CrossingWitness",
-    "CrossingReport",
     "find_k_crossing",
     "find_k_nesting",
     "max_crossing_number",

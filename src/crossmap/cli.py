@@ -20,7 +20,6 @@ from .errors import (
     NetworkError,
     OutOfBudget,
     Overflow,
-    TooLarge,
 )
 from .partition import enumerate_full, enumerate_partial, parse_text
 
@@ -213,7 +212,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OutOfBudget, Overflow, TooLarge) as exc:
+    except (OutOfBudget, Overflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except NetworkError as exc:

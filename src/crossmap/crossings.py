@@ -6,14 +6,16 @@ together with a_k <= b_1 (enhanced) or a_k < b_1 (classical).  A k-nesting
 instead has b_k < ... < b_1 with a_k <= b_k (enhanced) or a_k < b_k
 (classical).  Loops can therefore only ever appear in enhanced witnesses.
 
-The primary detector walks arcs in left-endpoint order with pruning; the
-brute-force oracle re-checks the defining inequalities on every k-subset
-and exists purely to cross-validate the detector.
+One pruned backtracking search, ``_search``, walks arcs in left-endpoint
+order and serves finding, counting and the maximal orders for both kinds.
+The brute-force oracle re-checks the defining inequalities on every
+k-subset and exists purely to cross-validate that search.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import inf
 from typing import Optional, Sequence
 
 from .arcs import Arc, ArcSet, CLASSICAL, ENHANCED
@@ -52,15 +54,6 @@ class CrossingWitness:
         )
 
 
-@dataclass(frozen=True)
-class CrossingReport:
-    """Witness counts per (kind, k), with the maximal orders."""
-
-    max_crossing: int
-    max_nesting: int
-    counts: dict
-
-
 def _check_k(k: int) -> None:
     if k < 1:
         raise InvalidK(f"k must be >= 1, got {k}")
@@ -68,166 +61,113 @@ def _check_k(k: int) -> None:
         raise InvalidK(f"k is capped at {MAX_K}, got {k}")
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in (CROSSING, NESTING):
+        raise OutOfRange(f"unknown witness kind {kind!r}")
+
+
 def _strict(mode: str) -> bool:
+    if mode not in (CLASSICAL, ENHANCED):
+        raise OutOfRange(f"unknown arc mode {mode!r}")
     return mode == CLASSICAL
 
 
-def _find_crossing(arcs: Sequence[Arc], k: int, strict: bool) -> Optional[list[Arc]]:
+def _search(
+    arcs: Sequence[Arc], k: int, kind: str, strict: bool, first: bool
+) -> tuple[int, tuple[Arc, ...]]:
+    """(number of k-witnesses of one kind, the least one by index or ()).
+
+    ``arcs`` must be sorted by left endpoint.  With ``first`` the search
+    stops at the least witness, so the count is 1 or 0.  Each arc after the
+    first must start before a limit: the first right end (plus one unless
+    strict) for a crossing, the last right end for a nesting.  Left ends
+    increase, so the scan stops at the first arc past the limit.  Strict
+    witnesses hold no loop, and a loop can only close a nesting.
+    """
+    nesting = kind == NESTING
+    slack = not strict
     n = len(arcs)
-    if k > n:
-        return None
-    chain: list[Arc] = []
+    leaf = k - 1
 
-    def extend(start: int) -> bool:
-        j = len(chain)
-        if j == k:
-            return True
-        for i in range(start, n - (k - j) + 1):
+    def extend(start: int, j: int, limit: float, last_right: float) -> tuple[int, tuple[Arc, ...]]:
+        # j arcs are chosen; the next comes from arcs[start:] and leaves
+        # room for the k - j - 1 after it.
+        total = 0
+        least: tuple[Arc, ...] = ()
+        for i in range(start, n - leaf + j):
             a = arcs[i]
-            if j == 0:
-                if strict and a.left == a.right:
-                    continue
-            else:
-                if a.right <= chain[-1].right:
-                    continue
-                bound = chain[0].right
-                if a.left > bound or (strict and a.left == bound):
-                    continue
-            chain.append(a)
-            if extend(i + 1):
-                return True
-            chain.pop()
-        return False
-
-    return list(chain) if extend(0) else None
-
-
-def _find_nesting(arcs: Sequence[Arc], k: int, strict: bool) -> Optional[list[Arc]]:
-    n = len(arcs)
-    if k > n:
-        return None
-    chain: list[Arc] = []
-
-    def extend(start: int) -> bool:
-        j = len(chain)
-        if j == k:
-            last = chain[-1]
-            return last.left < last.right or not strict
-        for i in range(start, n - (k - j) + 1):
-            a = arcs[i]
-            if j and a.right >= chain[-1].right:
+            left = a[0]
+            right = a[1]
+            if left >= limit:
+                break
+            if strict and left == right:
                 continue
-            chain.append(a)
-            if extend(i + 1):
-                return True
-            chain.pop()
-        return False
-
-    return list(chain) if extend(0) else None
-
-
-def _count_crossings(arcs: Sequence[Arc], k: int, strict: bool) -> int:
-    n = len(arcs)
-    total = 0
-
-    def extend(start: int, j: int, first_right: int, last_right: int) -> None:
-        nonlocal total
-        if j == k:
-            total += 1
-            return
-        for i in range(start, n - (k - j) + 1):
-            a = arcs[i]
-            if j == 0:
-                if strict and a.left == a.right:
+            if nesting:
+                if right >= last_right:
                     continue
-                extend(i + 1, 1, a.right, a.right)
-            else:
-                if a.right <= last_right:
-                    continue
-                if a.left > first_right or (strict and a.left == first_right):
-                    continue
-                extend(i + 1, j + 1, first_right, a.right)
-
-    extend(0, 0, 0, 0)
-    return total
-
-
-def _count_nestings(arcs: Sequence[Arc], k: int, strict: bool) -> int:
-    n = len(arcs)
-    total = 0
-
-    def extend(start: int, j: int, last: Optional[Arc]) -> None:
-        nonlocal total
-        if j == k:
-            if last is not None and (last.left < last.right or not strict):
-                total += 1
-            return
-        for i in range(start, n - (k - j) + 1):
-            a = arcs[i]
-            if last is not None and a.right >= last.right:
+            elif right <= last_right:
                 continue
-            extend(i + 1, j + 1, a)
+            if j == leaf:
+                count, tail = 1, ()
+            else:
+                below = right if nesting else limit if j else right + slack
+                count, tail = extend(i + 1, j + 1, below, right)
+                if not count:
+                    continue
+            if first:
+                return 1, (a,) + tail
+            if not total:
+                least = (a,) + tail
+            total += count
+        return total, least
 
-    extend(0, 0, None)
-    return total
+    return extend(0, 0, inf, inf if nesting else 0)
+
+
+def _find_crossing(arcs: Sequence[Arc], k: int, strict: bool) -> Optional[tuple[Arc, ...]]:
+    return _search(arcs, k, CROSSING, strict, True)[1] or None
+
+
+def _find(a: ArcSet, k: int, kind: str, mode: Optional[str]) -> Optional[CrossingWitness]:
+    _check_k(k)
+    mode = mode or a.mode
+    arcs = _search(a.arcs, k, kind, _strict(mode), True)[1]
+    return CrossingWitness(kind, mode, arcs) if arcs else None
 
 
 def find_k_crossing(a: ArcSet, k: int, mode: Optional[str] = None) -> Optional[CrossingWitness]:
     """Lexicographically least k-crossing by left endpoints, if any."""
-    _check_k(k)
-    mode = mode or a.mode
-    chain = _find_crossing(a.arcs, k, _strict(mode))
-    return CrossingWitness(CROSSING, mode, tuple(chain)) if chain else None
+    return _find(a, k, CROSSING, mode)
 
 
 def find_k_nesting(a: ArcSet, k: int, mode: Optional[str] = None) -> Optional[CrossingWitness]:
     """Lexicographically least k-nesting by left endpoints, if any."""
-    _check_k(k)
-    mode = mode or a.mode
-    chain = _find_nesting(a.arcs, k, _strict(mode))
-    return CrossingWitness(NESTING, mode, tuple(chain)) if chain else None
+    return _find(a, k, NESTING, mode)
 
 
-def _max_order(a: ArcSet, mode: str, finder) -> int:
-    strict = _strict(mode)
+def _max_order(a: ArcSet, kind: str, mode: Optional[str]) -> int:
+    strict = _strict(mode or a.mode)
     k = 0
-    while k < len(a.arcs) and finder(a.arcs, k + 1, strict) is not None:
+    while k < len(a.arcs) and _search(a.arcs, k + 1, kind, strict, True)[0]:
         k += 1
     return k
 
 
 def max_crossing_number(a: ArcSet, mode: Optional[str] = None) -> int:
     """Largest k admitting a k-crossing; 0 when no arc qualifies."""
-    return _max_order(a, mode or a.mode, _find_crossing)
+    return _max_order(a, CROSSING, mode)
 
 
 def max_nesting_number(a: ArcSet, mode: Optional[str] = None) -> int:
     """Largest k admitting a k-nesting; 0 when no arc qualifies."""
-    return _max_order(a, mode or a.mode, _find_nesting)
+    return _max_order(a, NESTING, mode)
 
 
 def count_k_witnesses(a: ArcSet, k: int, kind: str, mode: Optional[str] = None) -> int:
     """Number of distinct k-subsets of arcs forming a valid witness."""
     _check_k(k)
-    mode = mode or a.mode
-    if kind == CROSSING:
-        return _count_crossings(a.arcs, k, _strict(mode))
-    if kind == NESTING:
-        return _count_nestings(a.arcs, k, _strict(mode))
-    raise OutOfRange(f"unknown witness kind {kind!r}")
-
-
-def crossing_report(a: ArcSet, mode: Optional[str] = None) -> CrossingReport:
-    """Tabulate witness counts for every k up to the maximal orders."""
-    mode = mode or a.mode
-    mc = max_crossing_number(a, mode)
-    mn = max_nesting_number(a, mode)
-    counts = {}
-    for k in range(1, mc + 1):
-        counts[(CROSSING, k)] = count_k_witnesses(a, k, CROSSING, mode)
-    for k in range(1, mn + 1):
-        counts[(NESTING, k)] = count_k_witnesses(a, k, NESTING, mode)
-    return CrossingReport(mc, mn, counts)
+    _check_kind(kind)
+    return _search(a.arcs, k, kind, _strict(mode or a.mode), False)[0]
 
 
 def _is_witness(arcs: Sequence[Arc], kind: str, strict: bool) -> bool:
@@ -247,9 +187,10 @@ def _is_witness(arcs: Sequence[Arc], kind: str, strict: bool) -> bool:
 def oracle_find(a: ArcSet, k: int, kind: str, mode: Optional[str] = None) -> Optional[CrossingWitness]:
     """Unpruned brute-force search over all k-subsets of arcs.
 
-    Independent cross-check for the fast detectors; refuses large inputs.
+    Independent cross-check for the pruned search; refuses large inputs.
     """
     _check_k(k)
+    _check_kind(kind)
     if len(a.arcs) > ORACLE_MAX_ARCS:
         raise TooManyArcs(f"oracle handles at most {ORACLE_MAX_ARCS} arcs")
     mode = mode or a.mode
@@ -263,6 +204,7 @@ def oracle_find(a: ArcSet, k: int, kind: str, mode: Optional[str] = None) -> Opt
 def oracle_count(a: ArcSet, k: int, kind: str, mode: Optional[str] = None) -> int:
     """Brute-force witness count over all k-subsets."""
     _check_k(k)
+    _check_kind(kind)
     if len(a.arcs) > ORACLE_MAX_ARCS:
         raise TooManyArcs(f"oracle handles at most {ORACLE_MAX_ARCS} arcs")
     strict = _strict(mode or a.mode)

@@ -13,10 +13,7 @@ from dataclasses import dataclass
 
 from .arcs import Arc, arcs_classical, arcs_enhanced
 from .bijection import forward
-from .errors import TooLarge
 from .partition import PartialPartition
-
-MAX_RENDER_N = 40
 
 SOURCE = "source"
 IMAGE = "image"
@@ -60,8 +57,6 @@ def render_overlay(
     image_color: str = "#000000",
 ) -> str:
     """Standalone SVG overlay of p and forward(p); byte-stable per input."""
-    if p.n > MAX_RENDER_N:
-        raise TooLarge(f"rendering is capped at n <= {MAX_RENDER_N}")
     geoms = render_strip_coordinates(p)
     n1 = p.n + 1
     margin = scale

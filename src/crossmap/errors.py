@@ -29,10 +29,6 @@ class NotFull(CrossmapError):
     """The reverse map requires a partition with no absent elements."""
 
 
-class TooLarge(CrossmapError):
-    """The diagram renderer refuses ground sets this large."""
-
-
 class OutOfBudget(CrossmapError):
     """A counting job exceeds the configured enumeration budget."""
 

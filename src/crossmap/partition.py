@@ -103,10 +103,6 @@ def from_blocks(n: int, blocks: Sequence[Sequence[int]]) -> PartialPartition:
     return PartialPartition(n, tuple(labels))
 
 
-def blocks_of(p: PartialPartition) -> list[list[int]]:
-    return p.blocks()
-
-
 def parse_text(text: str) -> PartialPartition:
     """Parse the ``n:elems/elems/...`` grammar used by the CLI and fixtures."""
     head, sep, body = text.strip().partition(":")

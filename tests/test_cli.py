@@ -172,6 +172,10 @@ class TestRender:
         code2, out2, _ = run(capsys, "render", "--input", "4:1,3/2,4")
         assert code1 == code2 == 0 and out1 == out2
 
+    def test_ambient_n_over_cap_exit_2(self, capsys):
+        code, out, err = run(capsys, "render", "--input", "21:1")
+        assert (code, out, err) == (2, "", "error: ambient n must be in 0..20, got 21\n")
+
 
 class TestOeisCheck:
     @pytest.mark.parametrize("oeis_id", ["A000108", "A001006", "A108304", "A108307", "A000110"])

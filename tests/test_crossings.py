@@ -8,7 +8,6 @@ from crossmap.crossings import (
     NESTING,
     CrossingWitness,
     count_k_witnesses,
-    crossing_report,
     find_k_crossing,
     find_k_nesting,
     max_crossing_number,
@@ -16,7 +15,7 @@ from crossmap.crossings import (
     oracle_count,
     oracle_find,
 )
-from crossmap.errors import InvalidK, TooManyArcs
+from crossmap.errors import InvalidK, OutOfRange, TooManyArcs
 from crossmap.partition import enumerate_full, enumerate_partial, from_blocks, parse_text
 
 PAPER_PI = "9:1,4,7,9/2,5/3/6"
@@ -60,6 +59,19 @@ class TestFindNesting:
         a = arcs_enhanced(parse_text("3:1,3/2"))
         assert find_k_nesting(a, 2, CLASSICAL) is None
 
+    def test_unknown_mode_is_out_of_range(self):
+        # read as enhanced, "Classical" would find the loop (2, 2)
+        a = arcs_enhanced(parse_text("3:1,3/2"))
+        for call in (
+            lambda: find_k_nesting(a, 2, "Classical"),
+            lambda: find_k_crossing(a, 1, "Classical"),
+            lambda: max_nesting_number(a, "Classical"),
+            lambda: count_k_witnesses(a, 2, NESTING, "Classical"),
+            lambda: oracle_find(a, 2, NESTING, "Classical"),
+        ):
+            with pytest.raises(OutOfRange):
+                call()
+
 
 class TestMaxNumbers:
     def test_paper_example_enhanced_crossing_number(self):
@@ -97,6 +109,10 @@ class TestCounts:
         b = arcs_classical(parse_text(PAPER_PI_HAT))
         assert count_k_witnesses(b, 1, CROSSING) == 6
 
+    def test_paper_example_has_one_3_crossing(self):
+        a = arcs_enhanced(parse_text(PAPER_PI))
+        assert count_k_witnesses(a, 3, CROSSING) == 1
+
     def test_k1_semantics(self):
         # classical 1-crossings are the nontrivial arcs; enhanced ones are all arcs
         for p in enumerate_partial(5):
@@ -113,6 +129,12 @@ class TestOracle:
         a = arcs_enhanced(parse_text("5:1,3,5/2,4"))
         assert oracle_find(a, 3, CROSSING).arcs == find_k_crossing(a, 3).arcs
         assert oracle_find(a, 3, CROSSING, CLASSICAL) is None
+
+    @pytest.mark.parametrize("oracle", [oracle_find, oracle_count])
+    def test_unknown_kind_is_out_of_range(self, oracle):
+        a = arcs_enhanced(parse_text("5:1,3,5/2,4"))
+        with pytest.raises(OutOfRange):
+            oracle(a, 2, "bogus")
 
     def test_too_many_arcs(self):
         arcs = tuple(Arc(i, i) for i in range(1, 26))
@@ -193,13 +215,7 @@ class TestProperties:
                         assert all(not arc.is_loop for arc in w.arcs)
 
 
-class TestReportAndJson:
-    def test_report_consistency(self):
-        a = arcs_enhanced(parse_text(PAPER_PI))
-        r = crossing_report(a)
-        assert r.max_crossing == 3 and r.counts[(CROSSING, 3)] == 1
-        assert all(k <= r.max_crossing for kind, k in r.counts if kind == CROSSING)
-
+class TestJson:
     def test_witness_json_roundtrip(self):
         w = CrossingWitness(CROSSING, ENHANCED, (Arc(1, 4), Arc(2, 5), Arc(4, 7)))
         obj = w.to_json()

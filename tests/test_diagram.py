@@ -1,7 +1,5 @@
 import xml.etree.ElementTree as ET
 
-import pytest
-
 from crossmap.arcs import Arc
 from crossmap.diagram import (
     IMAGE,
@@ -9,7 +7,6 @@ from crossmap.diagram import (
     render_overlay,
     render_strip_coordinates,
 )
-from crossmap.errors import TooLarge
 from crossmap.partition import parse_text
 
 PAPER_PI = "9:1,4,7,9/2,5/3/6"
@@ -88,13 +85,6 @@ class TestSvg:
 
     def test_valid_xml(self):
         ET.fromstring(render_overlay(parse_text("5:1,3,5/2,4")))
-
-    def test_too_large(self):
-        class Huge:
-            n = 41
-
-        with pytest.raises(TooLarge):
-            render_overlay(Huge())
 
     def test_colors_configurable(self):
         svg = render_overlay(parse_text("2:1,2"), source_color="#ff0000")

@@ -12,7 +12,6 @@ from crossmap.errors import (
 from crossmap.partition import (
     MAX_N,
     PartialPartition,
-    blocks_of,
     enumerate_full,
     enumerate_partial,
     from_blocks,
@@ -75,13 +74,13 @@ class TestFromBlocks:
 class TestBlocksOf:
     def test_paper_example(self):
         p = PartialPartition(9, (1, 2, 3, 1, 2, 4, 1, 0, 1))
-        assert blocks_of(p) == [[1, 4, 7, 9], [2, 5], [3], [6]]
+        assert p.blocks() == [[1, 4, 7, 9], [2, 5], [3], [6]]
 
     def test_empty(self):
-        assert blocks_of(PartialPartition(2, (0, 0))) == []
+        assert PartialPartition(2, (0, 0)).blocks() == []
 
     def test_simple(self):
-        assert blocks_of(PartialPartition(3, (1, 1, 2))) == [[1, 2], [3]]
+        assert PartialPartition(3, (1, 1, 2)).blocks() == [[1, 2], [3]]
 
     @settings(derandomize=True)
     @given(
@@ -103,7 +102,7 @@ class TestBlocksOf:
                 blocks.append([e])
         p = from_blocks(n, blocks)
         canonical = sorted([sorted(b) for b in blocks], key=lambda b: b[0])
-        assert blocks_of(p) == canonical
+        assert p.blocks() == canonical
 
 
 class TestValidation:
@@ -149,6 +148,19 @@ class TestText:
     def test_roundtrip_all_n4(self):
         for p in enumerate_partial(4):
             assert parse_text(p.to_text()) == p
+
+    @settings(derandomize=True, deadline=None)
+    @given(
+        st.integers(0, MAX_N).flatmap(
+            lambda n: st.lists(st.integers(0, n), min_size=n, max_size=n)
+        )
+    )
+    def test_roundtrip_random(self, raw):
+        # raw[j] names the block of j + 1 (0: absent); relabel by first use
+        first_use: dict[int, int] = {}
+        labels = tuple(first_use.setdefault(v, len(first_use) + 1) if v else 0 for v in raw)
+        p = PartialPartition(len(raw), labels)
+        assert parse_text(p.to_text()) == p
 
 
 class TestEnumeration:
