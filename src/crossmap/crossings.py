@@ -96,7 +96,7 @@ def _search(
         least: tuple[Arc, ...] = ()
         for i in range(start, n - leaf + j):
             a = arcs[i]
-            left = a[0]
+            left = a[0]  # indexing: unpacking a namedtuple is slower
             right = a[1]
             if left >= limit:
                 break
