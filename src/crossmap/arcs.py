@@ -102,29 +102,3 @@ def distance_multiset(a: ArcSet) -> list[int]:
     """Sorted multiset of arc spans (right - left); loops contribute 0."""
     return sorted(arc.distance for arc in a)
 
-
-def partition_from_enhanced_arcs(n: int, arcs: Iterable[Arc]) -> PartialPartition:
-    """Reconstruct a partition from its enhanced arc set and ambient n.
-
-    Loops become singleton blocks; chains of shared endpoints merge into
-    blocks.  Inverse of :func:`arcs_enhanced`.
-    """
-    from .partition import from_blocks
-
-    parent = list(range(n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    present = set()
-    for arc in arcs:
-        present.add(arc.left)
-        present.add(arc.right)
-        parent[find(arc.left)] = find(arc.right)
-    groups: dict[int, list[int]] = {}
-    for e in sorted(present):
-        groups.setdefault(find(e), []).append(e)
-    return from_blocks(n, list(groups.values()))

@@ -75,21 +75,6 @@ class SequenceTable:
     def values(self, family: str, k: Optional[int] = None) -> dict[int, int]:
         return {r.n: r.value for r in self.rows if r.family == family and r.k == k}
 
-    def to_csv(self) -> str:
-        lines = ["family,k,n,value"]
-        for r in self.rows:
-            k = "" if r.k is None else r.k
-            lines.append(f"{r.family},{k},{r.n},{r.value}")
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        return json.dumps(
-            [
-                {"family": r.family, "k": r.k, "n": r.n, "value": r.value}
-                for r in self.rows
-            ]
-        )
-
 
 def binomial(n: int, i: int) -> int:
     """Exact binomial coefficient, restricted to 0 <= i <= n <= 62."""
@@ -274,7 +259,6 @@ def verify_identity(
     binomial sum over enhanced avoider counts, and (when ``direct`` is set)
     a straight count of enhanced-avoiding partitions of subsets of [n].
     """
-    _check_budget(k, n + 1, budget + 1)
     lhs = count_C(k, n + 1, budget=budget + 1)
     terms = [checked(binomial(n, i) * count_E(k, i, budget=budget)) for i in range(n + 1)]
     rhs = 0

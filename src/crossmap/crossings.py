@@ -47,12 +47,6 @@ class CrossingWitness:
             "arcs": [[a.left, a.right] for a in self.arcs],
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "CrossingWitness":
-        return CrossingWitness(
-            obj["kind"], obj["mode"], tuple(Arc(l, r) for l, r in obj["arcs"])
-        )
-
 
 def _check_k(k: int) -> None:
     if k < 1:

@@ -47,17 +47,8 @@ class PartialPartition:
         return max(self.labels, default=0)
 
     @property
-    def present(self) -> tuple[int, ...]:
-        """Elements of [n] that belong to the ground subset."""
-        return tuple(j + 1 for j, v in enumerate(self.labels) if v != 0)
-
-    @property
     def is_full(self) -> bool:
         return 0 not in self.labels
-
-    @property
-    def is_empty(self) -> bool:
-        return self.num_blocks == 0
 
     def blocks(self) -> list[list[int]]:
         """Blocks as sorted element lists, ordered by minimum element."""
@@ -66,9 +57,6 @@ class PartialPartition:
             if v:
                 out[v - 1].append(j + 1)
         return out
-
-    def singletons(self) -> list[int]:
-        return [b[0] for b in self.blocks() if len(b) == 1]
 
     def to_text(self) -> str:
         """Canonical text form, e.g. ``9:1,4,7,9/2,5/3/6``; empty is ``n:``."""
@@ -113,7 +101,7 @@ def parse_text(text: str) -> PartialPartition:
     except ValueError:
         raise ParseError(f"bad ambient size {head!r}") from None
     if not body:
-        return PartialPartition(n, (0,) * n) if 0 <= n <= MAX_N else from_blocks(n, [])
+        return from_blocks(n, [])
     try:
         blocks = [[int(e) for e in part.split(",")] for part in body.split("/")]
     except ValueError:
@@ -194,10 +182,6 @@ class EnumerationRange:
     def label_arrays(self) -> Iterator[list[int]]:
         for prefix in self.prefixes:
             yield from _iter_labels(self.n, self.partial, prefix)
-
-    def partitions(self) -> Iterator[PartialPartition]:
-        for labels in self.label_arrays():
-            yield PartialPartition(self.n, tuple(labels))
 
 
 def split_range(n: int, parts: int, partial: bool = False) -> list[EnumerationRange]:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import urllib.error
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from crossmap import cli, counting
+from crossmap import cli, counting, crossings
 from crossmap.bijection import forward
 from crossmap.cli import main
 from crossmap.counting import IdentityReport
@@ -26,6 +28,39 @@ k=2 nesting: enhanced=3 classical=3 witness={"kind": "nesting", "mode": "enhance
 k=3 crossing: enhanced=1 classical=1 witness={"kind": "crossing", "mode": "enhanced", "arcs": [[1, 4], [2, 5], [4, 7]]} image={"kind": "crossing", "mode": "classical", "arcs": [[1, 5], [2, 6], [4, 8]]}
 k=3 nesting: enhanced=0 classical=0
 """
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+#: sha256 of stdout (of the written file for ``--out``) and the exit code of
+#: every ``crossmap`` line in the README, as the commands printed them before
+#: code that no caller needed was deleted.  Keys are the argv after
+#: ``crossmap``, joined by spaces.
+README_DIGESTS = {
+    'map --input 9:1,4,7,9/2,5/3/6': (0, '1967e349722f5a5b72a36e45f99b323c3ac9825c134d6555599597908ee25631'),
+    'map --input 10:1,5/2,6,7,10/3,4,8/9 --reverse': (0, '541f7f5281e1e428460b85e10000e2bc19bd9a7a1b543dfa01469751e96ca48b'),
+    'map --input 9:1,4,7,9/2,5/3/6 --witnesses 3': (0, 'f821f0725784fd4d0f4750e775bf4c0c69bf2a19583a22b05743141ff16910a1'),
+    'enumerate --n 3': (0, '8e5ae1cc412d9711b8f57642f276b19a27d45a6d5865a83589630efda359f690'),
+    'enumerate --n 2 --partial': (0, '43daafc9c6d4685867b23165b2451cec5993ac6f664733adb6dcb7111bfa4a26'),
+    'count --k 3 --n 6 --family C': (0, '1a55a7d16b47deb40890edb52c2234c4adddf330dbac2e1f1eedf0a9723a4c70'),
+    'count --k 3 --n 9 --family C --parts 4': (0, 'b446ad1ac521916c4112258acac97f93a267dd53def975e5a2f1594a69f8360a'),
+    'verify-identity --k 3 --n-max 7': (0, '46628051c741caaf3c6545675d3ca20d8caeccb0d6c60c61c2e1df9e04efc4ce'),
+    'bell-check --n-max 8': (0, '339ba8aa30102709b66cc12eb6710f4c5832d9bda4b4e6d8ef5f9dcc6f0e921b'),
+    'oeis-check --id A108307': (0, 'e65d2f5c5ef7033199df40f0078c2ff06631fa516cd6e36866cc1a026549fc16'),
+    'render --input 9:1,4,7,9/2,5/3/6 --out fig.svg': (0, 'c91bb63236b5a17bf4c00632ecc7a6674454c8614f47b65caf7b1ffeeb2fe3bb'),
+}
+
+
+def _readme_commands():
+    """argv lists of the ``crossmap`` lines in the README's ``sh`` blocks."""
+    commands = []
+    in_sh = False
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("crossmap "):
+            commands.append(shlex.split(line, comments=True)[1:])
+    return commands
 
 
 def run(capsys, *argv):
@@ -142,6 +177,31 @@ class TestMap:
         )
         assert code == 0 and out == PAPER_PI + "\n" + WITNESS_TABLE
 
+    def test_witnesses_past_max_k_exit_2(self, capsys):
+        code, out, err = run(capsys, "map", "--input", PAPER_PI, "--witnesses", "9")
+        zero_rows = "".join(
+            f"k={k} {kind}: enhanced=0 classical=0\n"
+            for k in range(4, 9)
+            for kind in ("crossing", "nesting")
+        )
+        assert code == 2 and out == PAPER_PI_HAT + "\n" + WITNESS_TABLE + zero_rows
+        assert len(out.splitlines()) == 1 + 16
+        assert err == "error: k is capped at 8, got 9\n"
+
+    def test_witness_table_searches_once_per_kind(self, capsys, monkeypatch):
+        calls = []
+        search = crossings._search
+
+        def counted(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(crossings, "_search", counted)
+        monkeypatch.setattr(cli, "_search", counted, raising=False)
+        code, _, _ = run(capsys, "map", "--input", PAPER_PI, "--witnesses", "4")
+        # One enhanced and one classical search per (k, kind).
+        assert code == 0 and len(calls) == 2 * 2 * 4
+
     @pytest.mark.parametrize("argv, calls", [((PAPER_PI,), 1), ((PAPER_PI_HAT, "--reverse"), 0)])
     def test_witness_table_maps_once(self, capsys, monkeypatch, argv, calls):
         seen = []
@@ -217,6 +277,32 @@ class TestBellCheck:
         assert code == 0 and len(lines) == 7
         assert all(l.endswith("OK") for l in lines)
         assert "triangle=OK enumeration=OK bijection=OK" in lines[-1]
+
+
+def _run_readme_line(capsys, argv, tmp_path):
+    """(exit code, sha256 of stdout, or of the file that ``--out`` names)."""
+    argv = list(argv)
+    out_file = None
+    if "--out" in argv:
+        i = argv.index("--out") + 1
+        out_file = tmp_path / argv[i]
+        argv[i] = str(out_file)
+    code, out, _ = run(capsys, *argv)
+    body = out_file.read_bytes() if out_file is not None else out.encode("utf-8")
+    return code, hashlib.sha256(body).hexdigest()
+
+
+class TestReadme:
+    def test_readme_has_cli_lines(self):
+        assert len(_readme_commands()) >= 10
+
+    @pytest.mark.parametrize(
+        "argv",
+        [argv for argv in _readme_commands() if "--fetch" not in argv],
+        ids=" ".join,
+    )
+    def test_line_output_is_unchanged(self, capsys, tmp_path, argv):
+        assert _run_readme_line(capsys, argv, tmp_path) == README_DIGESTS[" ".join(argv)]
 
 
 class TestColdStart:

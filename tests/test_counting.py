@@ -7,6 +7,7 @@ from crossmap.counting import (
     DEFAULT_BUDGET,
     INT64_MAX,
     IdentityReport,
+    SequenceRow,
     SequenceTable,
     bell,
     binomial,
@@ -240,19 +241,16 @@ class TestDistribution:
 
 
 class TestSequenceTable:
-    def test_csv_and_json(self):
+    def test_values_and_rows(self):
         t = count_table("C", 2, 4)
         assert t.values("C", 2) == {0: 1, 1: 1, 2: 2, 3: 5, 4: 14}
-        csv = t.to_csv()
-        assert csv.splitlines()[0] == "family,k,n,value"
-        assert "C,2,4,14" in csv
-        rows = json.loads(t.to_json())
-        assert rows[0] == {"family": "C", "k": 2, "n": 0, "value": 1}
+        assert t.rows[0] == SequenceRow("C", 2, 0, 1)
+        assert t.rows[-1] == SequenceRow("C", 2, 4, 14)
 
     def test_bell_family_uses_no_k(self):
         t = count_table("Bell", None, 3)
         assert t.values("Bell") == {0: 1, 1: 1, 2: 2, 3: 5}
-        assert ",,3,5" in t.to_csv().replace("Bell", "")
+        assert t.rows[-1] == SequenceRow("Bell", None, 3, 5)
 
     def test_duplicate_row_rejected(self):
         t = SequenceTable()

@@ -216,12 +216,10 @@ class TestProperties:
 
 
 class TestJson:
-    def test_witness_json_roundtrip(self):
+    def test_witness_to_json(self):
         w = CrossingWitness(CROSSING, ENHANCED, (Arc(1, 4), Arc(2, 5), Arc(4, 7)))
-        obj = w.to_json()
-        assert obj == {
+        assert w.to_json() == {
             "kind": "crossing",
             "mode": "enhanced",
             "arcs": [[1, 4], [2, 5], [4, 7]],
         }
-        assert CrossingWitness.from_json(obj) == w

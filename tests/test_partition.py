@@ -120,8 +120,8 @@ class TestValidation:
 
     def test_empty_partition_is_first_class(self):
         p = PartialPartition(5, (0,) * 5)
-        assert p.is_empty and not p.is_full
-        assert p.present == ()
+        assert p.num_blocks == 0 and not p.is_full
+        assert tuple(j + 1 for j, v in enumerate(p.labels) if v) == ()
 
     def test_require_full(self):
         require_full(PartialPartition(2, (1, 2)))
@@ -199,19 +199,24 @@ class TestEnumeration:
         assert len(seen) == len(set(seen))
 
 
+def _partitions(rng):
+    # Through the validating constructor, so every split item is checked.
+    return [PartialPartition(rng.n, tuple(labels)) for labels in rng.label_arrays()]
+
+
 class TestSplitRange:
     def test_single_part_covers_everything(self):
         (rng,) = split_range(3, 1)
-        assert sum(1 for _ in rng.partitions()) == 5
+        assert len(_partitions(rng)) == 5
 
     def test_two_parts_sum_bell5(self):
         ranges = split_range(5, 2)
         assert len(ranges) == 2
-        assert sum(sum(1 for _ in r.partitions()) for r in ranges) == 52
+        assert sum(len(_partitions(r)) for r in ranges) == 52
 
     def test_excess_parts_are_empty(self):
         ranges = split_range(4, 100)
-        nonempty = [r for r in ranges if sum(1 for _ in r.partitions())]
+        nonempty = [r for r in ranges if _partitions(r)]
         assert len(ranges) == 100
         assert len(nonempty) <= 15
 
@@ -223,7 +228,7 @@ class TestSplitRange:
         expected = {p.labels for p in whole}
         got = []
         for rng in split_range(n, parts, partial=partial):
-            got.extend(p.labels for p in rng.partitions())
+            got.extend(p.labels for p in _partitions(rng))
         assert len(got) == len(expected)
         assert set(got) == expected
 
