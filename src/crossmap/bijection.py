@@ -6,11 +6,16 @@ stay singletons.  In arc terms, each enhanced arc (x, y) of the source
 becomes the classical arc (x, y+1) of the image, which is why enhanced
 k-crossings (and k-nestings) map onto classical ones.
 
-Both directions run in O(n) on label arrays: they fill ``succ[x]``, the
-next element of x's block in the result (x itself at a block's end, 0 when
-x is absent), and label each chain from its smallest element.
+Both directions run in O(n) on a label-array core: they fill ``succ[x]``,
+the next element of x's block in the result (x itself at a block's end, 0
+when x is absent), and label each chain from its smallest element.  The
+public maps check their input and pass the core's labels through the
+validating ``PartialPartition`` constructor; ``_reverse_labels`` serves
+callers that hold label arrays of full partitions already.
 """
 from __future__ import annotations
+
+from typing import Sequence
 
 from .arcs import Arc, CLASSICAL, ENHANCED
 from .crossings import CrossingWitness
@@ -18,8 +23,8 @@ from .errors import OutOfRange
 from .partition import PartialPartition, require_full
 
 
-def _from_successors(succ: list[int], n: int) -> PartialPartition:
-    """The partition of a subset of [n] whose blocks are the chains of ``succ``."""
+def _from_successors(succ: list[int], n: int) -> tuple[int, ...]:
+    """Labels of the partition of a subset of [n] whose blocks are the chains of ``succ``."""
     labels = [0] * n
     blocks = 0
     for x in range(1, n + 1):
@@ -30,7 +35,7 @@ def _from_successors(succ: list[int], n: int) -> PartialPartition:
             while succ[y] != y:
                 y = succ[y]
                 labels[y - 1] = blocks
-    return PartialPartition(n, tuple(labels))
+    return tuple(labels)
 
 
 def forward(p: PartialPartition) -> PartialPartition:
@@ -43,7 +48,20 @@ def forward(p: PartialPartition) -> PartialPartition:
             # which stands only if u stays a singleton.
             succ[last[v] or e] = e + 1
             last[v] = e
-    return _from_successors(succ, p.n + 1)
+    return PartialPartition(p.n + 1, _from_successors(succ, p.n + 1))
+
+
+def _reverse_labels(labels: Sequence[int]) -> tuple[int, ...]:
+    """Labels of the reverse image of the full partition of [m] with these labels, m >= 1."""
+    m = len(labels)
+    succ = [0] * m
+    last = [0] * (max(labels) + 1)
+    for e, v in enumerate(labels, start=1):
+        if last[v]:  # a < e consecutive give a -> e-1; a unit pair a loop
+            succ[last[v]] = e - 1
+            succ[e - 1] = e - 1  # e-1's own successor, if any, comes later
+        last[v] = e
+    return _from_successors(succ, m - 1)
 
 
 def reverse(q: PartialPartition) -> PartialPartition:
@@ -55,14 +73,7 @@ def reverse(q: PartialPartition) -> PartialPartition:
     require_full(q)
     if q.n == 0:
         raise OutOfRange("reverse needs a partition of [n+1] with n >= 0, got one of [0]")
-    succ = [0] * q.n
-    last = [0] * (q.num_blocks + 1)
-    for e, v in enumerate(q.labels, start=1):
-        if last[v]:  # a < e consecutive give a -> e-1; a unit pair a loop
-            succ[last[v]] = e - 1
-            succ[e - 1] = e - 1  # e-1's own successor, if any, comes later
-        last[v] = e
-    return _from_successors(succ, q.n - 1)
+    return PartialPartition(q.n - 1, _reverse_labels(q.labels))
 
 
 def witness_forward(w: CrossingWitness) -> CrossingWitness:

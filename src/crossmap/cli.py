@@ -19,6 +19,7 @@ from .errors import (
     CrossmapError,
     NetworkError,
     OutOfBudget,
+    OutOfRange,
     Overflow,
 )
 from .partition import enumerate_full, enumerate_partial, parse_text
@@ -39,9 +40,15 @@ OEIS_CHECKS = {
 }
 
 
+def _at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise OutOfRange(f"{flag} must be >= {low}, got {value}")
+
+
 def _cmd_enumerate(args) -> int:
     stream = enumerate_partial(args.n) if args.partial else enumerate_full(args.n)
     if args.limit is not None:
+        _at_least("--limit", args.limit, 0)
         stream = islice(stream, args.limit)
     for p in stream:
         print(p.to_text())
@@ -56,6 +63,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_verify_identity(args) -> int:
+    _at_least("--n-max", args.n_max, 0)
     reports = [
         counting.verify_identity(args.k, n, budget=args.budget)
         for n in range(args.n_max + 1)
@@ -73,6 +81,7 @@ def _cmd_verify_identity(args) -> int:
 
 
 def _cmd_map(args) -> int:
+    _at_least("--witnesses", args.witnesses, 0)
     p = parse_text(args.input)
     image = reverse(p) if args.reverse else forward(p)
     print(image.to_text())
@@ -100,6 +109,7 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    _at_least("--scale", args.scale, 1)
     p = parse_text(args.input)
     svg = render_overlay(
         p,
@@ -137,6 +147,7 @@ def _cmd_oeis_check(args) -> int:
 
 
 def _cmd_bell_check(args) -> int:
+    _at_least("--n-max", args.n_max, 0)
     ok = True
     for n in range(args.n_max + 1):
         r = counting.verify_eigensequence(n, budget=args.budget)

@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .arcs import _consecutive_pairs, _loops
-from .bijection import reverse
+from .bijection import _reverse_labels
 from .crossings import _find_crossing, _check_k
 from .errors import Overflow, OutOfBudget, OutOfRange
 from .partition import (
@@ -273,28 +273,37 @@ def verify_eigensequence(n: int, budget: int = DEFAULT_BUDGET) -> IdentityReport
     """Check the Bell-number fixed point of the binomial transform, three ways.
 
     Routes: the Bell-triangle recurrence, direct enumeration of partitions
-    of [n+1], and counting distinct images of the reverse map over all full
-    partitions of [n+1] (which must hit every partition of a subset of [n]
-    exactly once).
+    of [n+1], and the reverse map, whose images over all partitions of
+    [n+1] must be pairwise distinct and, compared as a set, equal to the
+    enumerated partitions of subsets of [n].
     """
     if n > budget:
         raise OutOfBudget(f"n={n} exceeds the enumeration budget {budget}")
+    if n < 0:
+        raise OutOfRange(f"n must be >= 0, got {n}")
+    _check_n(n + 1)
     lhs = bell(n + 1)
     terms = [checked(binomial(n, i) * bell(i)) for i in range(n + 1)]
     rhs = 0
     for t in terms:
         rhs = checked(rhs + t)
 
+    # The enumerator's arrays are valid partitions (the tests pin this), so
+    # they go to the label-array core unchecked.  Labels are at most MAX_N,
+    # so each image fits in bytes, which take far less memory than tuples.
     enumerated = 0
     images = set()
-    for q in enumerate_full(n + 1):
+    for labels in _iter_labels(n + 1, partial=False):
         enumerated += 1
-        images.add(reverse(q).labels)
-    partial_total = sum(1 for _ in _iter_labels(n, partial=True))
+        images.add(bytes(_reverse_labels(labels)))
+    partial_total = hits = 0
+    for labels in _iter_labels(n, partial=True):
+        partial_total += 1
+        hits += bytes(labels) in images
     routes = {
         "triangle": lhs == rhs,
         "enumeration": enumerated == lhs,
-        "bijection": len(images) == lhs == partial_total,
+        "bijection": len(images) == lhs == partial_total == hits,
     }
     return IdentityReport(
         None, n, lhs, terms, rhs, all(routes.values()), routes=routes

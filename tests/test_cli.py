@@ -279,6 +279,32 @@ class TestBellCheck:
         assert "triangle=OK enumeration=OK bijection=OK" in lines[-1]
 
 
+class TestFlagRanges:
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["enumerate", "--n", "3", "--limit", "-1"], "--limit must be >= 0, got -1"),
+            (["render", "--input", PAPER_PI, "--scale", "0"], "--scale must be >= 1, got 0"),
+            (["render", "--input", PAPER_PI, "--scale", "-5"], "--scale must be >= 1, got -5"),
+            (["map", "--input", PAPER_PI, "--witnesses", "-1"], "--witnesses must be >= 0, got -1"),
+            (["verify-identity", "--k", "3", "--n-max", "-1"], "--n-max must be >= 0, got -1"),
+            (["verify-identity", "--k", "3", "--n-max", "-1", "--json"], "--n-max must be >= 0, got -1"),
+            (["bell-check", "--n-max", "-1"], "--n-max must be >= 0, got -1"),
+        ],
+    )
+    def test_out_of_range_exit_2(self, capsys, argv, err):
+        assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
+    def test_lowest_values_are_accepted(self, capsys):
+        assert run(capsys, "enumerate", "--n", "3", "--limit", "0") == (0, "", "")
+        assert run(capsys, "map", "--input", PAPER_PI, "--witnesses", "0") == (0, PAPER_PI_HAT + "\n", "")
+        code, out, _ = run(capsys, "render", "--input", PAPER_PI, "--scale", "1")
+        assert code == 0 and out.startswith("<?xml")
+        assert run(capsys, "bell-check", "--n-max", "0") == (
+            0, "n=0 bell=1 triangle=OK enumeration=OK bijection=OK OK\n", ""
+        )
+
+
 def _run_readme_line(capsys, argv, tmp_path):
     """(exit code, sha256 of stdout, or of the file that ``--out`` names)."""
     argv = list(argv)

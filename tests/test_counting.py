@@ -198,22 +198,36 @@ class TestEigensequence:
 
     def test_reverse_runs_once_per_partition(self, monkeypatch):
         calls = []
-        real = counting.reverse
+        real = counting._reverse_labels
 
-        def counted(q):
-            calls.append(q)
-            return real(q)
+        def counted(labels):
+            calls.append(tuple(labels))
+            return real(labels)
 
-        monkeypatch.setattr(counting, "reverse", counted)
+        monkeypatch.setattr(counting, "_reverse_labels", counted)
         assert verify_eigensequence(6).holds
         assert len(calls) == bell(7)
 
     def test_bijection_route_catches_a_non_injective_map(self, monkeypatch):
-        constant = parse_text("6:1/2/3/4/5/6")
-        monkeypatch.setattr(counting, "reverse", lambda q: constant)
+        constant = parse_text("6:1/2/3/4/5/6").labels
+        monkeypatch.setattr(counting, "_reverse_labels", lambda labels: constant)
         r = verify_eigensequence(6)
         assert r.routes == {"triangle": True, "enumeration": True, "bijection": False}
         assert not r.holds
+
+    def test_bijection_route_catches_images_outside_the_partial_set(self, monkeypatch):
+        # Injective, so as many distinct images as partitions, but none of
+        # them is a partition of a subset of [6].
+        monkeypatch.setattr(counting, "_reverse_labels", lambda labels: tuple(labels))
+        r = verify_eigensequence(6)
+        assert r.routes == {"triangle": True, "enumeration": True, "bijection": False}
+        assert not r.holds
+
+    def test_out_of_range_n(self):
+        with pytest.raises(OutOfRange):
+            verify_eigensequence(-1)
+        with pytest.raises(OutOfRange):
+            verify_eigensequence(20, budget=20)
 
 
 class TestDistribution:

@@ -12,6 +12,7 @@ from crossmap.errors import (
 from crossmap.partition import (
     MAX_N,
     PartialPartition,
+    _iter_labels,
     enumerate_full,
     enumerate_partial,
     from_blocks,
@@ -197,6 +198,15 @@ class TestEnumeration:
         seen = [p.labels for p in stream]
         assert seen == sorted(seen)
         assert len(seen) == len(set(seen))
+
+    @pytest.mark.parametrize(
+        "m, partial", [(m, False) for m in range(10)] + [(m, True) for m in range(9)]
+    )
+    def test_raw_arrays_are_valid_partitions(self, m, partial):
+        # bell-check feeds these arrays to the bijection unchecked.
+        seen = [PartialPartition(m, tuple(labels)).labels for labels in _iter_labels(m, partial)]
+        assert partial or all(0 not in labels for labels in seen)
+        assert len(seen) == len(set(seen)) == bell_triangle(m + 1 if partial else m)
 
 
 def _partitions(rng):
