@@ -30,7 +30,6 @@ from .counting import (
     verify_identity,
     verify_eigensequence,
     distribution_table,
-    SequenceTable,
     IdentityReport,
 )
 
@@ -67,6 +66,5 @@ __all__ = [
     "verify_identity",
     "verify_eigensequence",
     "distribution_table",
-    "SequenceTable",
     "IdentityReport",
 ]

@@ -63,39 +63,33 @@ class ArcSet:
         return len(self.arcs)
 
 
-def _consecutive_pairs(labels: Iterable[int]) -> list[Arc]:
-    last_of: dict[int, int] = {}
+def _arcs(labels: Iterable[int], enhanced: bool) -> list[Arc]:
+    """Consecutive pairs within each block, plus a loop on every singleton
+    when ``enhanced``, sorted by left endpoint."""
+    last: dict[int, int] = {}
     arcs = []
-    for j, v in enumerate(labels):
+    for j, v in enumerate(labels, 1):
         if v:
-            prev = last_of.get(v)
+            prev = last.get(v)
             if prev is not None:
-                arcs.append(Arc(prev, j + 1))
-            last_of[v] = j + 1
+                arcs.append(Arc(prev, j))
+            last[v] = j
+    if enhanced:
+        # A block's last element ends an arc unless the block is a singleton.
+        rights = {r for _, r in arcs}
+        arcs += [Arc(u, u) for u in last.values() if u not in rights]
     arcs.sort()
     return arcs
 
 
-def _loops(labels: Iterable[int]) -> list[Arc]:
-    first: dict[int, int] = {}
-    count: dict[int, int] = {}
-    for j, v in enumerate(labels):
-        if v:
-            first.setdefault(v, j + 1)
-            count[v] = count.get(v, 0) + 1
-    return [Arc(u, u) for v, u in first.items() if count[v] == 1]
-
-
 def arcs_classical(p: PartialPartition) -> ArcSet:
     """One arc per consecutive pair within a block; no loops."""
-    return ArcSet(CLASSICAL, tuple(_consecutive_pairs(p.labels)))
+    return ArcSet(CLASSICAL, tuple(_arcs(p.labels, False)))
 
 
 def arcs_enhanced(p: PartialPartition) -> ArcSet:
     """Classical arcs plus a loop for every singleton block."""
-    arcs = _consecutive_pairs(p.labels) + _loops(p.labels)
-    arcs.sort()
-    return ArcSet(ENHANCED, tuple(arcs))
+    return ArcSet(ENHANCED, tuple(_arcs(p.labels, True)))
 
 
 def distance_multiset(a: ArcSet) -> list[int]:

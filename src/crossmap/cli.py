@@ -21,6 +21,7 @@ from .errors import (
     OutOfBudget,
     OutOfRange,
     Overflow,
+    UnknownId,
 )
 from .partition import enumerate_full, enumerate_partial, parse_text
 
@@ -56,6 +57,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    _at_least("--budget", args.budget, 0)
     fn = counting.count_C if args.family == "C" else counting.count_E
     value = fn(args.k, args.n, parts=args.parts, budget=args.budget)
     print(value)
@@ -64,12 +66,13 @@ def _cmd_count(args) -> int:
 
 def _cmd_verify_identity(args) -> int:
     _at_least("--n-max", args.n_max, 0)
+    _at_least("--budget", args.budget, 0)
     reports = [
         counting.verify_identity(args.k, n, budget=args.budget)
         for n in range(args.n_max + 1)
     ]
     if args.json:
-        print(json.dumps([json.loads(r.to_json()) for r in reports]))
+        print(json.dumps([r.to_json() for r in reports]))
     else:
         for r in reports:
             status = "OK" if r.holds else "FAIL"
@@ -127,8 +130,8 @@ def _cmd_render(args) -> int:
 
 def _cmd_oeis_check(args) -> int:
     if args.id not in OEIS_CHECKS:
-        print(f"no check defined for {args.id}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UnknownId(f"no check defined for {args.id}")
+    _at_least("--budget", args.budget, 0)
     family, k, default_n_max = OEIS_CHECKS[args.id]
     n_max = args.n_max if args.n_max is not None else default_n_max
     ref = (
@@ -136,8 +139,7 @@ def _cmd_oeis_check(args) -> int:
         if args.fetch
         else oeis.bundled(args.id)
     )
-    table = counting.count_table(family, k, n_max, budget=args.budget)
-    diff = oeis.compare(table, ref, family, k)
+    diff = oeis.compare(counting.count_table(family, k, n_max, budget=args.budget), ref)
     if diff.ok:
         print(f"OK ({diff.compared} terms compared)")
         return EXIT_OK
@@ -148,6 +150,7 @@ def _cmd_oeis_check(args) -> int:
 
 def _cmd_bell_check(args) -> int:
     _at_least("--n-max", args.n_max, 0)
+    _at_least("--budget", args.budget, 0)
     ok = True
     for n in range(args.n_max + 1):
         r = counting.verify_eigensequence(n, budget=args.budget)

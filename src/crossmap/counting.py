@@ -14,21 +14,21 @@ same walk.  Both routes keep the budget cap (default n <= 12).
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, Optional
 
-from .arcs import _consecutive_pairs, _loops
+from .arcs import CLASSICAL, ENHANCED, _arcs, arcs_classical, arcs_enhanced
 from .bijection import _reverse_labels
-from .crossings import _find_crossing, _check_k
+from .crossings import _check_k, _find_crossing, max_crossing_number, max_nesting_number
 from .errors import Overflow, OutOfBudget, OutOfRange
 from .partition import (
     EnumerationRange,
     _check_n,
     _iter_labels,
     enumerate_full,
+    enumerate_partial,
     split_range,
 )
 
@@ -41,39 +41,12 @@ BINOMIAL_MAX_N = 62
 FAMILY_C = "C"
 FAMILY_E = "E"
 FAMILY_BELL = "Bell"
-FAMILY_PARTIAL_E = "partial-E"
 
 
 def checked(value: int) -> int:
     if value > INT64_MAX:
         raise Overflow(f"value {value} exceeds the signed 64-bit range")
     return value
-
-
-@dataclass(frozen=True)
-class SequenceRow:
-    family: str
-    k: Optional[int]
-    n: int
-    value: int
-
-
-@dataclass
-class SequenceTable:
-    """Rows (family, k, n, value) with unique keys and 64-bit values."""
-
-    rows: list[SequenceRow] = field(default_factory=list)
-
-    def add(self, family: str, k: Optional[int], n: int, value: int) -> None:
-        checked(value)
-        if value < 0:
-            raise OutOfRange("sequence values are nonnegative")
-        if any(r.family == family and r.k == k and r.n == n for r in self.rows):
-            raise OutOfRange(f"duplicate row ({family}, {k}, {n})")
-        self.rows.append(SequenceRow(family, k, n, value))
-
-    def values(self, family: str, k: Optional[int] = None) -> dict[int, int]:
-        return {r.n: r.value for r in self.rows if r.family == family and r.k == k}
 
 
 def binomial(n: int, i: int) -> int:
@@ -113,12 +86,7 @@ def _check_budget(k: int, n: int, budget: int) -> None:
 
 
 def _avoids(labels: list[int], k: int, enhanced: bool) -> bool:
-    arcs = _consecutive_pairs(labels)
-    if enhanced:
-        arcs += _loops(labels)
-        arcs.sort()
-        return _find_crossing(arcs, k, strict=False) is None
-    return _find_crossing(arcs, k, strict=True) is None
+    return _find_crossing(_arcs(labels, enhanced), k, strict=not enhanced) is None
 
 
 def count_range(rng: EnumerationRange, k: int, enhanced: bool) -> int:
@@ -198,8 +166,8 @@ def _count_enum(k: int, n: int, enhanced: bool, partial: bool, parts: int) -> in
 
 
 @lru_cache(maxsize=None)
-def _count_cached(k: int, n: int, enhanced: bool, partial: bool) -> int:
-    return _count_enum(k, n, enhanced, partial, parts=1)
+def _count_cached(k: int, n: int, enhanced: bool) -> int:
+    return _count_enum(k, n, enhanced, partial=False, parts=1)
 
 
 def count_C(k: int, n: int, parts: int = 1, budget: int = DEFAULT_BUDGET) -> int:
@@ -233,7 +201,7 @@ class IdentityReport:
     rhs_direct: Optional[int] = None
     routes: Optional[dict] = None
 
-    def to_json(self) -> str:
+    def to_json(self) -> dict:
         obj = {
             "k": self.k,
             "n": self.n,
@@ -246,26 +214,30 @@ class IdentityReport:
             obj["rhs_direct"] = self.rhs_direct
         if self.routes is not None:
             obj["routes"] = self.routes
-        return json.dumps(obj)
+        return obj
 
 
-def verify_identity(
-    k: int, n: int, budget: int = DEFAULT_BUDGET, direct: bool = True
-) -> IdentityReport:
+def _binomial_transform(n: int, term: Callable[[int], int]) -> tuple[list[int], int]:
+    """The terms binomial(n, i) * term(i) for i = 0..n, and their sum.
+
+    Every term is nonnegative, so checking the total checks each partial sum.
+    """
+    terms = [checked(binomial(n, i) * term(i)) for i in range(n + 1)]
+    return terms, checked(sum(terms))
+
+
+def verify_identity(k: int, n: int, budget: int = DEFAULT_BUDGET) -> IdentityReport:
     """Check that avoiders of [n+1] equal the binomial transform over [n].
 
     The left side counts full partitions of [n+1] with no classical
     k-crossing.  The right side is computed two independent ways: the
-    binomial sum over enhanced avoider counts, and (when ``direct`` is set)
-    a straight count of enhanced-avoiding partitions of subsets of [n].
+    binomial sum over enhanced avoider counts, and a straight count of
+    enhanced-avoiding partitions of subsets of [n].
     """
     lhs = count_C(k, n + 1, budget=budget + 1)
-    terms = [checked(binomial(n, i) * count_E(k, i, budget=budget)) for i in range(n + 1)]
-    rhs = 0
-    for t in terms:
-        rhs = checked(rhs + t)
-    rhs_direct = count_partial_E(k, n, budget=budget) if direct else None
-    holds = lhs == rhs and (rhs_direct is None or rhs_direct == lhs)
+    terms, rhs = _binomial_transform(n, lambda i: count_E(k, i, budget=budget))
+    rhs_direct = count_partial_E(k, n, budget=budget)
+    holds = lhs == rhs == rhs_direct
     return IdentityReport(k, n, lhs, terms, rhs, holds, rhs_direct=rhs_direct)
 
 
@@ -283,10 +255,7 @@ def verify_eigensequence(n: int, budget: int = DEFAULT_BUDGET) -> IdentityReport
         raise OutOfRange(f"n must be >= 0, got {n}")
     _check_n(n + 1)
     lhs = bell(n + 1)
-    terms = [checked(binomial(n, i) * bell(i)) for i in range(n + 1)]
-    rhs = 0
-    for t in terms:
-        rhs = checked(rhs + t)
+    terms, rhs = _binomial_transform(n, bell)
 
     # The enumerator's arrays are valid partitions (the tests pin this), so
     # they go to the label-array core unchecked.  Labels are at most MAX_N,
@@ -342,10 +311,6 @@ class DistributionTable:
 def distribution_table(n: int, k_max: int, budget: int = 9) -> DistributionTable:
     if n > budget:
         raise OutOfBudget(f"n={n} exceeds the enumeration budget {budget}")
-    from .crossings import max_crossing_number, max_nesting_number
-    from .arcs import arcs_classical, arcs_enhanced, CLASSICAL, ENHANCED
-    from .partition import enumerate_partial
-
     part_cross: dict[int, int] = {}
     part_nest: dict[int, int] = {}
     for p in enumerate_partial(n):
@@ -373,20 +338,19 @@ def distribution_table(n: int, k_max: int, budget: int = 9) -> DistributionTable
     return DistributionTable(n, tuple(rows))
 
 
-def count_table(family: str, k: Optional[int], n_max: int, budget: int = DEFAULT_BUDGET) -> SequenceTable:
-    """Tabulate one counting family for n = 0..n_max.
+def count_table(family: str, k: Optional[int], n_max: int, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
+    """One counting family for n = 0..n_max, as the column {n: value}.
 
     Counts come from enumeration, never from the walk, so comparing them
     with the walk-generated snapshots is an independent check.
     """
-    table = SequenceTable()
+    column = {}
     for n in range(n_max + 1):
         if family == FAMILY_BELL:
-            value = bell(n)
-        elif family in (FAMILY_C, FAMILY_E, FAMILY_PARTIAL_E):
+            column[n] = bell(n)
+        elif family in (FAMILY_C, FAMILY_E):
             _check_budget(k, n, budget)
-            value = _count_cached(k, n, family != FAMILY_C, family == FAMILY_PARTIAL_E)
+            column[n] = _count_cached(k, n, family == FAMILY_E)
         else:
             raise OutOfRange(f"unknown family {family!r}")
-        table.add(family, k, n, value)
-    return table
+    return column

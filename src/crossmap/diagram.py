@@ -9,14 +9,19 @@ the image arc.  Loops are drawn as unit tents over their vertex.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .arcs import Arc, arcs_classical, arcs_enhanced
 from .bijection import forward
+from .errors import OutOfRange
 from .partition import PartialPartition
 
 SOURCE = "source"
 IMAGE = "image"
+
+#: A colour goes into the SVG's <style> as is, so only these forms pass.
+_COLOR = re.compile(r"#[0-9A-Fa-f]+|[A-Za-z]+")
 
 
 @dataclass(frozen=True)
@@ -56,7 +61,13 @@ def render_overlay(
     source_color: str = "#2b6cb0",
     image_color: str = "#000000",
 ) -> str:
-    """Standalone SVG overlay of p and forward(p); byte-stable per input."""
+    """Standalone SVG overlay of p and forward(p); byte-stable per input.
+
+    A colour is ``#`` plus hex digits or a plain colour name.
+    """
+    for color in (source_color, image_color):
+        if not _COLOR.fullmatch(color):
+            raise OutOfRange(f"colour must be # plus hex digits or a name, got {color!r}")
     geoms = render_strip_coordinates(p)
     n1 = p.n + 1
     margin = scale

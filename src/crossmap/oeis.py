@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import NetworkError, NoOverlap, ParseError, UnknownId
-from .counting import SequenceTable
 
 BUNDLED_IDS = ("A000108", "A001006", "A108304", "A108307", "A000110")
 
@@ -136,11 +135,8 @@ def fetch_bfile(oeis_id: str, limit: int, timeout: float = DEFAULT_TIMEOUT) -> R
 
 @dataclass(frozen=True)
 class SequenceDiff:
-    """Mismatches between a computed table column and a reference sequence."""
+    """Mismatches between a computed column and a reference sequence."""
 
-    id: str
-    family: str
-    k: Optional[int]
     compared: int
     mismatches: tuple[tuple[int, int, int], ...]  # (n, computed, reference)
 
@@ -149,9 +145,9 @@ class SequenceDiff:
         return not self.mismatches
 
 
-def compare(computed: SequenceTable, ref: RefSequence, family: str, k: Optional[int] = None) -> SequenceDiff:
-    """Diff one table column against a reference, aligned on n with offsets."""
-    column = computed.values(family, k)
+def compare(column: dict[int, int], ref: RefSequence) -> SequenceDiff:
+    """Diff a computed column {n: value} against a reference, aligned on n
+    with offsets."""
     mismatches = []
     compared = 0
     for n, value in sorted(column.items()):
@@ -163,4 +159,4 @@ def compare(computed: SequenceTable, ref: RefSequence, family: str, k: Optional[
             mismatches.append((n, value, expected))
     if compared == 0:
         raise NoOverlap(f"no common indices between table and {ref.id}")
-    return SequenceDiff(ref.id, family, k, compared, tuple(mismatches))
+    return SequenceDiff(compared, tuple(mismatches))

@@ -125,7 +125,7 @@ def test_criterion_6_sequence_regressions():
     )
     bad = []
     for oeis_id, family, k, n_max in checks:
-        diff = compare(count_table(family, k, n_max), bundled(oeis_id), family, k)
+        diff = compare(count_table(family, k, n_max), bundled(oeis_id))
         if not diff.ok:
             bad.append(oeis_id)
     _report(6, not bad, "counts match bundled snapshots of the four cited sequences"

@@ -134,6 +134,11 @@ class TestVerifyIdentity:
         assert code == 0 and [r["n"] for r in reports] == [0, 1, 2, 3]
         assert all(r["holds"] for r in reports)
 
+    def test_json_is_the_report_dicts(self, capsys):
+        code, out, _ = run(capsys, "verify-identity", "--k", "3", "--n-max", "4", "--json")
+        reports = [counting.verify_identity(3, n).to_json() for n in range(5)]
+        assert (code, out) == (0, json.dumps(reports) + "\n")
+
     def test_injected_fault_exits_nonzero(self, capsys, monkeypatch):
         def broken(k, n, budget=12):
             return IdentityReport(k, n, lhs=1, rhs_terms=[2], rhs=2, holds=False)
@@ -244,8 +249,9 @@ class TestOeisCheck:
         assert code == 0 and out.startswith("OK (")
 
     def test_unknown_id_exit_2(self, capsys):
-        code, _, _ = run(capsys, "oeis-check", "--id", "A999999")
-        assert code == 2
+        assert run(capsys, "oeis-check", "--id", "A999999") == (
+            2, "", "error: no check defined for A999999\n"
+        )
 
     def test_fetch_offline_exit_4(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("CROSSMAP_CACHE_DIR", str(tmp_path))
@@ -290,10 +296,26 @@ class TestFlagRanges:
             (["verify-identity", "--k", "3", "--n-max", "-1"], "--n-max must be >= 0, got -1"),
             (["verify-identity", "--k", "3", "--n-max", "-1", "--json"], "--n-max must be >= 0, got -1"),
             (["bell-check", "--n-max", "-1"], "--n-max must be >= 0, got -1"),
+            (["count", "--k", "3", "--n", "0", "--family", "C", "--budget", "-1"], "--budget must be >= 0, got -1"),
+            (["verify-identity", "--k", "3", "--n-max", "0", "--budget", "-1"], "--budget must be >= 0, got -1"),
+            (["oeis-check", "--id", "A000108", "--budget", "-1"], "--budget must be >= 0, got -1"),
+            (["bell-check", "--n-max", "0", "--budget", "-1"], "--budget must be >= 0, got -1"),
+            (["render", "--input", "2:1", "--source-color", '}</style><x y="'],
+             "colour must be # plus hex digits or a name, got '}</style><x y=\"'"),
+            (["render", "--input", "2:1", "--image-color", "red;x"],
+             "colour must be # plus hex digits or a name, got 'red;x'"),
+            (["render", "--input", "2:1", "--source-color", ""], "colour must be # plus hex digits or a name, got ''"),
+            (["render", "--input", "2:1", "--image-color", "#12g"], "colour must be # plus hex digits or a name, got '#12g'"),
         ],
     )
     def test_out_of_range_exit_2(self, capsys, argv, err):
         assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
+    def test_bad_colour_writes_no_file(self, capsys, tmp_path):
+        out_file = tmp_path / "fig.svg"
+        code, out, err = run(capsys, "render", "--input", "2:1", "--out", str(out_file), "--source-color", "<x>")
+        assert (code, out, err) == (2, "", "error: colour must be # plus hex digits or a name, got '<x>'\n")
+        assert not out_file.exists()
 
     def test_lowest_values_are_accepted(self, capsys):
         assert run(capsys, "enumerate", "--n", "3", "--limit", "0") == (0, "", "")
@@ -303,6 +325,17 @@ class TestFlagRanges:
         assert run(capsys, "bell-check", "--n-max", "0") == (
             0, "n=0 bell=1 triangle=OK enumeration=OK bijection=OK OK\n", ""
         )
+        assert run(capsys, "bell-check", "--n-max", "0", "--budget", "0") == (
+            0, "n=0 bell=1 triangle=OK enumeration=OK bijection=OK OK\n", ""
+        )
+        assert run(capsys, "count", "--k", "3", "--n", "0", "--family", "C", "--budget", "0") == (0, "1\n", "")
+        assert run(capsys, "verify-identity", "--k", "3", "--n-max", "0", "--budget", "0") == (
+            0, "k=3 n=0 lhs=1 rhs=1 direct=1 OK\n", ""
+        )
+        code, _, err = run(capsys, "oeis-check", "--id", "A000108", "--budget", "0")
+        assert (code, err) == (3, "error: n=1 exceeds the enumeration budget 0\n")
+        code, out, _ = run(capsys, "render", "--input", "2:1", "--source-color", "red", "--image-color", "#ABCdef")
+        assert code == 0 and "stroke:red;" in out and "stroke:#ABCdef;" in out
 
 
 def _run_readme_line(capsys, argv, tmp_path):

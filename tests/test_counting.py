@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from crossmap import counting
@@ -7,8 +5,6 @@ from crossmap.counting import (
     DEFAULT_BUDGET,
     INT64_MAX,
     IdentityReport,
-    SequenceRow,
-    SequenceTable,
     bell,
     binomial,
     checked,
@@ -146,8 +142,7 @@ class TestWalk:
     def test_count_table_keeps_enumeration_route(self, monkeypatch):
         counting._count_cached.cache_clear()
         monkeypatch.setattr(counting, "_walk", _no_walk)
-        table = count_table("C", 3, 9)
-        assert list(table.values("C", 3).values()) == [
+        assert list(count_table("C", 3, 9).values()) == [
             1, 1, 2, 5, 15, 52, 202, 859, 3930, 19095
         ]
 
@@ -175,7 +170,7 @@ class TestIdentity:
                 assert r.holds and r.rhs == r.rhs_direct == r.lhs
 
     def test_json_shape(self):
-        obj = json.loads(verify_identity(2, 3).to_json())
+        obj = verify_identity(2, 3).to_json()
         assert obj["k"] == 2 and obj["n"] == 3
         assert obj["lhs"] == sum(obj["rhs_terms"]) == obj["rhs"]
         assert obj["holds"] is True
@@ -255,24 +250,23 @@ class TestDistribution:
 
 
 class TestSequenceTable:
+    """count_table returns one plain column {n: value}."""
+
     def test_values_and_rows(self):
         t = count_table("C", 2, 4)
-        assert t.values("C", 2) == {0: 1, 1: 1, 2: 2, 3: 5, 4: 14}
-        assert t.rows[0] == SequenceRow("C", 2, 0, 1)
-        assert t.rows[-1] == SequenceRow("C", 2, 4, 14)
+        assert t == {0: 1, 1: 1, 2: 2, 3: 5, 4: 14}
+        assert list(t.items())[0] == (0, 1)
+        assert list(t.items())[-1] == (4, 14)
 
     def test_bell_family_uses_no_k(self):
         t = count_table("Bell", None, 3)
-        assert t.values("Bell") == {0: 1, 1: 1, 2: 2, 3: 5}
-        assert t.rows[-1] == SequenceRow("Bell", None, 3, 5)
-
-    def test_duplicate_row_rejected(self):
-        t = SequenceTable()
-        t.add("C", 2, 0, 1)
-        with pytest.raises(OutOfRange):
-            t.add("C", 2, 0, 1)
+        assert t == {0: 1, 1: 1, 2: 2, 3: 5}
+        assert list(t.items())[-1] == (3, 5)
 
     def test_overflow_rejected(self):
-        t = SequenceTable()
         with pytest.raises(Overflow):
-            t.add("C", 2, 0, INT64_MAX + 1)
+            checked(INT64_MAX + 1)
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(OutOfRange):
+            count_table("partial-E", 3, 4)

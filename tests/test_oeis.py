@@ -174,33 +174,31 @@ class TestFetch:
 
 class TestCompare:
     def test_regression_pass(self):
-        table = counting.count_table("C", 3, 9)
-        diff = compare(table, bundled("A108304"), "C", 3)
+        diff = compare(counting.count_table("C", 3, 9), bundled("A108304"))
         assert diff.ok and diff.compared == 10
 
     def test_enhanced_regression_pass(self):
-        table = counting.count_table("E", 3, 9)
-        diff = compare(table, bundled("A108307"), "E", 3)
+        diff = compare(counting.count_table("E", 3, 9), bundled("A108307"))
         assert diff.ok
 
     def test_corrupted_value_is_reported(self):
         table = counting.count_table("C", 2, 5)
         bad = RefSequence("A000108", 0, (1, 1, 2, 5, 14, 43), "bundled")
-        diff = compare(table, bad, "C", 2)
+        diff = compare(table, bad)
         assert not diff.ok
         assert diff.mismatches == ((5, 42, 43),)
 
     def test_offset_alignment(self):
         table = counting.count_table("Bell", None, 5)
         shifted = RefSequence("A000110", 2, (2, 5, 15, 52), "bundled")
-        diff = compare(table, shifted, "Bell", None)
+        diff = compare(table, shifted)
         assert diff.ok and diff.compared == 4
 
     def test_no_overlap(self):
         table = counting.count_table("Bell", None, 3)
         far = RefSequence("A000110", 50, (1, 2), "bundled")
         with pytest.raises(NoOverlap):
-            compare(table, far, "Bell", None)
+            compare(table, far)
 
     def test_bundled_matches_computed_everywhere(self):
         # offsets recorded in the snapshots line up with the counters
@@ -211,5 +209,5 @@ class TestCompare:
             ("A108307", "E", 3, 9),
             ("A000110", "Bell", None, 12),
         ):
-            diff = compare(counting.count_table(family, k, n_max), bundled(oeis_id), family, k)
+            diff = compare(counting.count_table(family, k, n_max), bundled(oeis_id))
             assert diff.ok, oeis_id
