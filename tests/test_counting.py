@@ -169,6 +169,11 @@ class TestIdentity:
                 r = verify_identity(k, n)
                 assert r.holds and r.rhs == r.rhs_direct == r.lhs
 
+    def test_direct_route_mismatch_fails(self, monkeypatch):
+        monkeypatch.setattr(counting, "count_partial_E", lambda k, n, budget: 0)
+        r = verify_identity(3, 5)
+        assert r.lhs == r.rhs == 202 and r.rhs_direct == 0 and not r.holds
+
     def test_json_shape(self):
         obj = verify_identity(2, 3).to_json()
         assert obj["k"] == 2 and obj["n"] == 3
