@@ -14,7 +14,7 @@ The tableau walk is crossmap.counting._walk, which counts closed walks on
 Young diagrams with at most k-1 rows.  It is also the route behind
 count_C and count_E, so the A108304 and A108307 snapshots are not
 independent of those functions; the package's enumeration route
-(count_range, used by count_table and oeis-check) is.  With k=2 the walk
+(_count_enum, used by count_table and oeis-check) is.  With k=2 the walk
 must reproduce Catalan and Motzkin; run with --check to re-verify it
 against enumeration for every n <= 12 (slow, ~3 minutes).
 """
@@ -30,8 +30,7 @@ DATA_DIR = SRC / "crossmap" / "data"
 TERMS = 16
 
 sys.path.insert(0, str(SRC))
-from crossmap.counting import _walk, count_range  # noqa: E402
-from crossmap.partition import split_range  # noqa: E402
+from crossmap.counting import _count_enum, _walk  # noqa: E402
 
 
 def catalan(nmax: int) -> list[int]:
@@ -91,9 +90,8 @@ def main() -> int:
 
     if args.check:
         for n in range(13):
-            (rng,) = split_range(n, 1)
-            assert count_range(rng, 3, enhanced=False) == c3[n], n
-            assert count_range(rng, 3, enhanced=True) == e3[n], n
+            assert _count_enum(3, n, enhanced=False, partial=False) == c3[n], n
+            assert _count_enum(3, n, enhanced=True, partial=False) == e3[n], n
         print("enumeration cross-check passed for n <= 12")
 
     DATA_DIR.mkdir(parents=True, exist_ok=True)

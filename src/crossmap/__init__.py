@@ -8,7 +8,6 @@ from .partition import (
     parse_text,
     enumerate_full,
     enumerate_partial,
-    split_range,
 )
 from .arcs import Arc, ArcSet, arcs_classical, arcs_enhanced, distance_multiset
 from .crossings import (
@@ -41,7 +40,6 @@ __all__ = [
     "parse_text",
     "enumerate_full",
     "enumerate_partial",
-    "split_range",
     "Arc",
     "ArcSet",
     "arcs_classical",

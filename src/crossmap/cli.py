@@ -132,8 +132,10 @@ def _cmd_oeis_check(args) -> int:
     if args.id not in OEIS_CHECKS:
         raise UnknownId(f"no check defined for {args.id}")
     _at_least("--budget", args.budget, 0)
-    family, k, default_n_max = OEIS_CHECKS[args.id]
-    n_max = args.n_max if args.n_max is not None else default_n_max
+    family, k, n_max = OEIS_CHECKS[args.id]
+    if args.n_max is not None:
+        _at_least("--n-max", args.n_max, 0)
+        n_max = args.n_max
     ref = (
         oeis.fetch_bfile(args.id, limit=n_max + 1)
         if args.fetch

@@ -7,30 +7,26 @@ it raises Overflow instead of wrapping.
 count by a polynomial walk over vacillating tableaux (Chen, Deng, Du,
 Stanley and Yan): a partition of [n] has no k-crossing exactly when its
 tableau never has more than k-1 rows.  Exhaustive enumeration of all
-partitions is kept as the independent route: it runs when a count is split
-into ``parts > 1`` sub-ranges, and ``count_table`` (behind ``oeis-check``)
-always uses it, because the bundled A108304/A108307 snapshots come from the
-same walk.  Both routes keep the budget cap (default n <= 12).
+partitions is kept as the independent route: a count takes it when
+``parts > 1``, and ``count_table`` (behind ``oeis-check``) always uses it,
+because the bundled A108304/A108307 snapshots come from the same walk.
+Enumerated counts, ``distribution_table`` and ``verify_eigensequence`` make
+one pass over the raw label arrays of ``_iter_labels`` and build no
+partition objects.  Both routes keep the budget cap (default n <= 12).
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
 
-from .arcs import CLASSICAL, ENHANCED, _arcs, arcs_classical, arcs_enhanced
+from .arcs import _arcs
 from .bijection import _reverse_labels
-from .crossings import _check_k, _find_crossing, max_crossing_number, max_nesting_number
+from .crossings import CROSSING, NESTING, _check_k, _find_crossing, _max_order
 from .errors import Overflow, OutOfBudget, OutOfRange
-from .partition import (
-    EnumerationRange,
-    _check_n,
-    _iter_labels,
-    enumerate_full,
-    enumerate_partial,
-    split_range,
-)
+from .partition import _check_n, _iter_labels
 
 INT64_MAX = 2**63 - 1
 
@@ -89,15 +85,6 @@ def _avoids(labels: list[int], k: int, enhanced: bool) -> bool:
     return _find_crossing(_arcs(labels, enhanced), k, strict=not enhanced) is None
 
 
-def count_range(rng: EnumerationRange, k: int, enhanced: bool) -> int:
-    """Avoiders within one enumeration sub-range; safe to run in parallel."""
-    total = 0
-    for labels in rng.label_arrays():
-        if _avoids(labels, k, enhanced):
-            total += 1
-    return total
-
-
 def _add_corners(shape: tuple[int, ...], rows: int) -> list[tuple[int, ...]]:
     """Shapes obtained by adding one cell, keeping at most ``rows`` rows."""
     res = []
@@ -152,22 +139,23 @@ def _walk(k: int, n: int, enhanced: bool, partial: bool) -> int:
 
 
 def _count(k: int, n: int, enhanced: bool, partial: bool, parts: int) -> int:
+    _check_n(n)
+    if parts < 1:
+        raise OutOfRange(f"parts must be >= 1, got {parts}")
     if parts == 1:
-        _check_n(n)
         return _walk(k, n, enhanced, partial)
-    return _count_enum(k, n, enhanced, partial, parts)
+    return _count_enum(k, n, enhanced, partial)
 
 
-def _count_enum(k: int, n: int, enhanced: bool, partial: bool, parts: int) -> int:
-    total = 0
-    for rng in split_range(n, parts, partial=partial):
-        total = checked(total + count_range(rng, k, enhanced))
-    return total
+def _count_enum(k: int, n: int, enhanced: bool, partial: bool) -> int:
+    """Avoiders by one pass over every label array of [n]."""
+    return checked(sum(_avoids(labels, k, enhanced) for labels in _iter_labels(n, partial)))
 
 
 @lru_cache(maxsize=None)
 def _count_cached(k: int, n: int, enhanced: bool) -> int:
-    return _count_enum(k, n, enhanced, partial=False, parts=1)
+    _check_n(n)
+    return _count_enum(k, n, enhanced, partial=False)
 
 
 def count_C(k: int, n: int, parts: int = 1, budget: int = DEFAULT_BUDGET) -> int:
@@ -308,34 +296,31 @@ class DistributionTable:
         return all(r.match for r in self.rows)
 
 
+def _orders(n: int, partial: bool, enhanced: bool) -> dict[str, Counter]:
+    """Per kind, how many label arrays of [n] have each maximal order."""
+    orders = {CROSSING: Counter(), NESTING: Counter()}
+    for labels in _iter_labels(n, partial):
+        arcs = _arcs(labels, enhanced)
+        for kind, seen in orders.items():
+            seen[_max_order(arcs, kind, not enhanced)] += 1
+    return orders
+
+
 def distribution_table(n: int, k_max: int, budget: int = 9) -> DistributionTable:
     if n > budget:
         raise OutOfBudget(f"n={n} exceeds the enumeration budget {budget}")
-    part_cross: dict[int, int] = {}
-    part_nest: dict[int, int] = {}
-    for p in enumerate_partial(n):
-        a = arcs_enhanced(p)
-        kc = max_crossing_number(a, ENHANCED)
-        kn = max_nesting_number(a, ENHANCED)
-        part_cross[kc] = part_cross.get(kc, 0) + 1
-        part_nest[kn] = part_nest.get(kn, 0) + 1
-    full_cross: dict[int, int] = {}
-    full_nest: dict[int, int] = {}
-    for q in enumerate_full(n + 1):
-        a = arcs_classical(q)
-        kc = max_crossing_number(a, CLASSICAL)
-        kn = max_nesting_number(a, CLASSICAL)
-        full_cross[kc] = full_cross.get(kc, 0) + 1
-        full_nest[kn] = full_nest.get(kn, 0) + 1
-    rows = []
-    for k in range(0, k_max + 1):
-        rows.append(
-            DistributionRow("crossing", k, part_cross.get(k, 0), full_cross.get(k, 0))
-        )
-        rows.append(
-            DistributionRow("nesting", k, part_nest.get(k, 0), full_nest.get(k, 0))
-        )
-    return DistributionTable(n, tuple(rows))
+    _check_n(n)
+    _check_n(n + 1)
+    if k_max < 0:
+        raise OutOfRange(f"k_max must be >= 0, got {k_max}")
+    part = _orders(n, partial=True, enhanced=True)
+    full = _orders(n + 1, partial=False, enhanced=False)
+    rows = tuple(
+        DistributionRow(kind, k, part[kind][k], full[kind][k])
+        for k in range(k_max + 1)
+        for kind in (CROSSING, NESTING)
+    )
+    return DistributionTable(n, rows)
 
 
 def count_table(family: str, k: Optional[int], n_max: int, budget: int = DEFAULT_BUDGET) -> dict[int, int]:

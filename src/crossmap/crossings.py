@@ -139,22 +139,21 @@ def find_k_nesting(a: ArcSet, k: int, mode: Optional[str] = None) -> Optional[Cr
     return _find(a, k, NESTING, mode)
 
 
-def _max_order(a: ArcSet, kind: str, mode: Optional[str]) -> int:
-    strict = _strict(mode or a.mode)
+def _max_order(arcs: Sequence[Arc], kind: str, strict: bool) -> int:
     k = 0
-    while k < len(a.arcs) and _search(a.arcs, k + 1, kind, strict, True)[0]:
+    while k < len(arcs) and _search(arcs, k + 1, kind, strict, True)[0]:
         k += 1
     return k
 
 
 def max_crossing_number(a: ArcSet, mode: Optional[str] = None) -> int:
     """Largest k admitting a k-crossing; 0 when no arc qualifies."""
-    return _max_order(a, CROSSING, mode)
+    return _max_order(a.arcs, CROSSING, _strict(mode or a.mode))
 
 
 def max_nesting_number(a: ArcSet, mode: Optional[str] = None) -> int:
     """Largest k admitting a k-nesting; 0 when no arc qualifies."""
-    return _max_order(a, NESTING, mode)
+    return _max_order(a.arcs, NESTING, _strict(mode or a.mode))
 
 
 def count_k_witnesses(a: ArcSet, k: int, kind: str, mode: Optional[str] = None) -> int:

@@ -32,7 +32,6 @@ class RefSequence:
     id: str
     offset: int
     values: tuple[int, ...]
-    source: str  # "bundled" or "fetched"
 
     def value_at(self, n: int) -> Optional[int]:
         i = n - self.offset
@@ -44,7 +43,7 @@ def _check_id(oeis_id: str) -> None:
         raise UnknownId(f"malformed OEIS id {oeis_id!r}")
 
 
-def parse_bfile(text: str, oeis_id: str, source: str, limit: Optional[int] = None) -> RefSequence:
+def parse_bfile(text: str, oeis_id: str, limit: Optional[int] = None) -> RefSequence:
     """Parse b-file text: `index value` lines, `#` comments ignored."""
     pairs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -67,7 +66,7 @@ def parse_bfile(text: str, oeis_id: str, source: str, limit: Optional[int] = Non
     for j, (idx, _) in enumerate(pairs):
         if idx != offset + j:
             raise ParseError(f"{oeis_id}: non-contiguous index {idx}")
-    return RefSequence(oeis_id, offset, tuple(v for _, v in pairs), source)
+    return RefSequence(oeis_id, offset, tuple(v for _, v in pairs))
 
 
 def bundled(oeis_id: str) -> RefSequence:
@@ -76,7 +75,7 @@ def bundled(oeis_id: str) -> RefSequence:
     if oeis_id not in BUNDLED_IDS:
         raise UnknownId(f"no bundled snapshot for {oeis_id}")
     text = (resources.files("crossmap") / "data" / f"b{oeis_id[1:]}.txt").read_text()
-    return parse_bfile(text, oeis_id, source="bundled")
+    return parse_bfile(text, oeis_id)
 
 
 def cache_dir() -> Path:
@@ -101,7 +100,7 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
-def fetch_bfile(oeis_id: str, limit: int, timeout: float = DEFAULT_TIMEOUT) -> RefSequence:
+def fetch_bfile(oeis_id: str, limit: int) -> RefSequence:
     """Download (or serve from cache) the b-file and parse up to ``limit`` terms."""
     _check_id(oeis_id)
     if limit < 1:
@@ -113,7 +112,7 @@ def fetch_bfile(oeis_id: str, limit: int, timeout: float = DEFAULT_TIMEOUT) -> R
     url = _BFILE_URL.format(id=oeis_id, digits=oeis_id[1:])
     cache = _cache_path(oeis_id)
     try:
-        with urllib.request.urlopen(url, timeout=timeout) as resp:
+        with urllib.request.urlopen(url, timeout=DEFAULT_TIMEOUT) as resp:
             content = resp.read()
     # HTTPError, URLError and timeouts are OSErrors; a truncated body
     # (IncompleteRead) is an HTTPException.
@@ -121,12 +120,12 @@ def fetch_bfile(oeis_id: str, limit: int, timeout: float = DEFAULT_TIMEOUT) -> R
         if isinstance(exc, urllib.error.HTTPError) and exc.code == 404:
             raise UnknownId(f"OEIS has no b-file for {oeis_id}") from None
         if cache.exists():
-            return parse_bfile(cache.read_text(), oeis_id, source="fetched", limit=limit)
+            return parse_bfile(cache.read_text(), oeis_id, limit=limit)
         raise NetworkError(f"cannot fetch {url} and no cache exists: {exc}") from exc
     # Only a body that parses is cached, so a bad payload cannot poison the
     # offline fallback.
     try:
-        ref = parse_bfile(content.decode("utf-8"), oeis_id, source="fetched", limit=limit)
+        ref = parse_bfile(content.decode("utf-8"), oeis_id, limit=limit)
     except (UnicodeDecodeError, ParseError) as exc:
         raise NetworkError(f"{url} did not return a b-file: {exc}") from exc
     _atomic_write(cache, content)

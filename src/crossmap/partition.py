@@ -114,23 +114,19 @@ def _check_n(n: int) -> None:
         raise OutOfRange(f"n must be in 0..{MAX_N}, got {n}")
 
 
-def _iter_labels(n: int, partial: bool, prefix: Sequence[int] = ()) -> Iterator[list[int]]:
-    """Yield raw label arrays in lexicographic order, extending ``prefix``.
+def _iter_labels(n: int, partial: bool) -> Iterator[list[int]]:
+    """Yield raw label arrays in lexicographic order.
 
     The same list object is reused between yields; callers must copy if they
     keep a reference.
     """
-    labels = list(prefix) + [0] * (n - len(prefix))
+    lo = 0 if partial else 1
+    labels = [lo] * n
     maxes = [0] * (n + 1)  # maxes[i] = max label among positions < i
-    for i in range(len(prefix)):
-        maxes[i + 1] = max(maxes[i], prefix[i])
-    start = len(prefix)
-    if start == n:
+    if n == 0:
         yield labels
         return
-    lo = 0 if partial else 1
-    i = start
-    labels[i] = lo
+    i = 0
     while True:
         if i == n - 1:
             yield labels
@@ -139,10 +135,10 @@ def _iter_labels(n: int, partial: bool, prefix: Sequence[int] = ()) -> Iterator[
             i += 1
             labels[i] = lo
             continue
-        # backtrack to the rightmost position (>= start) that can increment
-        while i >= start and labels[i] >= maxes[i] + 1:
+        # backtrack to the rightmost position that can increment
+        while i >= 0 and labels[i] >= maxes[i] + 1:
             i -= 1
-        if i < start:
+        if i < 0:
             return
         labels[i] += 1
 
@@ -159,57 +155,6 @@ def enumerate_partial(n: int) -> Iterator[PartialPartition]:
     _check_n(n)
     for labels in _iter_labels(n, partial=True):
         yield PartialPartition(n, tuple(labels))
-
-
-def _valid_prefix_extensions(prefix: tuple[int, ...], partial: bool) -> list[int]:
-    m = max(prefix, default=0)
-    base = list(range(1, m + 2))
-    return [0] + base if partial else base
-
-
-@dataclass(frozen=True)
-class EnumerationRange:
-    """A disjoint slice of an enumeration stream, fixed by label prefixes.
-
-    Ranges from one :func:`split_range` call cover the stream exactly once
-    and share nothing, so they may be consumed concurrently.
-    """
-
-    n: int
-    partial: bool
-    prefixes: tuple[tuple[int, ...], ...]
-
-    def label_arrays(self) -> Iterator[list[int]]:
-        for prefix in self.prefixes:
-            yield from _iter_labels(self.n, self.partial, prefix)
-
-
-def split_range(n: int, parts: int, partial: bool = False) -> list[EnumerationRange]:
-    """Split the enumeration of [n] into ``parts`` disjoint sub-streams.
-
-    Prefix depth grows until at least ``parts`` prefixes exist (or the whole
-    array is fixed); prefixes are then dealt into contiguous chunks, so the
-    concatenated sub-streams reproduce the unsplit lexicographic order.
-    Chunks beyond the number of prefixes are empty.
-    """
-    _check_n(n)
-    if parts < 1:
-        raise OutOfRange(f"parts must be >= 1, got {parts}")
-    prefixes: list[tuple[int, ...]] = [()]
-    depth = 0
-    while len(prefixes) < parts and depth < n:
-        prefixes = [
-            p + (v,) for p in prefixes for v in _valid_prefix_extensions(p, partial)
-        ]
-        depth += 1
-    q, r = divmod(len(prefixes), parts)
-    ranges = []
-    pos = 0
-    for i in range(parts):
-        size = q + (1 if i < r else 0)
-        ranges.append(EnumerationRange(n, partial, tuple(prefixes[pos : pos + size])))
-        pos += size
-    return ranges
 
 
 def require_full(p: PartialPartition) -> None:

@@ -306,6 +306,8 @@ class TestFlagRanges:
              "colour must be # plus hex digits or a name, got 'red;x'"),
             (["render", "--input", "2:1", "--source-color", ""], "colour must be # plus hex digits or a name, got ''"),
             (["render", "--input", "2:1", "--image-color", "#12g"], "colour must be # plus hex digits or a name, got '#12g'"),
+            (["oeis-check", "--id", "A000108", "--n-max", "-1"], "--n-max must be >= 0, got -1"),
+            (["oeis-check", "--id", "A000108", "--n-max", "-1", "--fetch"], "--n-max must be >= 0, got -1"),
         ],
     )
     def test_out_of_range_exit_2(self, capsys, argv, err):
@@ -334,6 +336,7 @@ class TestFlagRanges:
         )
         code, _, err = run(capsys, "oeis-check", "--id", "A000108", "--budget", "0")
         assert (code, err) == (3, "error: n=1 exceeds the enumeration budget 0\n")
+        assert run(capsys, "oeis-check", "--id", "A000108", "--n-max", "0") == (0, "OK (1 terms compared)\n", "")
         code, out, _ = run(capsys, "render", "--input", "2:1", "--source-color", "red", "--image-color", "#ABCdef")
         assert code == 0 and "stroke:red;" in out and "stroke:#ABCdef;" in out
 

@@ -1,6 +1,8 @@
+from collections import Counter
+
 import pytest
 
-from crossmap import counting
+from crossmap import counting, partition
 from crossmap.counting import (
     DEFAULT_BUDGET,
     INT64_MAX,
@@ -11,14 +13,15 @@ from crossmap.counting import (
     count_C,
     count_E,
     count_partial_E,
-    count_range,
     count_table,
     distribution_table,
     verify_eigensequence,
     verify_identity,
 )
 from crossmap.errors import InvalidK, Overflow, OutOfBudget, OutOfRange
-from crossmap.partition import parse_text, split_range
+from crossmap.arcs import CLASSICAL, ENHANCED, arcs_classical, arcs_enhanced
+from crossmap.crossings import max_crossing_number, max_nesting_number
+from crossmap.partition import enumerate_full, enumerate_partial, parse_text
 
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
@@ -104,7 +107,7 @@ class TestCounts:
 
 
 def _enumerated(k, n, enhanced, partial=False):
-    return count_range(split_range(n, 1, partial=partial)[0], k, enhanced)
+    return counting._count_enum(k, n, enhanced, partial)
 
 
 def _no_walk(*args):
@@ -138,6 +141,12 @@ class TestWalk:
         monkeypatch.setattr(counting, "_walk", _no_walk)
         assert count_C(3, 7, parts=2) == 859
         assert count_partial_E(2, 5, parts=3) == _enumerated(2, 5, enhanced=True, partial=True)
+
+    def test_bad_parts(self):
+        with pytest.raises(OutOfRange, match="parts must be >= 1, got 0"):
+            count_C(3, 3, parts=0)
+        with pytest.raises(OutOfRange, match="parts must be >= 1, got -1"):
+            count_partial_E(2, 3, parts=-1)
 
     def test_count_table_keeps_enumeration_route(self, monkeypatch):
         counting._count_cached.cache_clear()
@@ -252,6 +261,40 @@ class TestDistribution:
     def test_budget(self):
         with pytest.raises(OutOfBudget):
             distribution_table(10, k_max=2)
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_matches_validated_objects(self, n):
+        # The label-array route against partitions and arc sets built through
+        # the validating public API.
+        def tally(arc_sets, mode):
+            return {
+                kind: Counter(order(a, mode) for a in arc_sets)
+                for kind, order in (("crossing", max_crossing_number), ("nesting", max_nesting_number))
+            }
+
+        part = tally([arcs_enhanced(p) for p in enumerate_partial(n)], ENHANCED)
+        full = tally([arcs_classical(q) for q in enumerate_full(n + 1)], CLASSICAL)
+        expected = [
+            (kind, k, part[kind][k], full[kind][k])
+            for k in range(5)
+            for kind in ("crossing", "nesting")
+        ]
+        rows = distribution_table(n, 4).rows
+        assert [(r.kind, r.k, r.partial_enhanced, r.full_classical) for r in rows] == expected
+
+    def test_ground_set_cap_checked_before_enumerating(self, monkeypatch):
+        # Bell(21) items of [20] would take days; the check must come first.
+        def no_enumeration(*args):
+            raise AssertionError("nothing may be enumerated here")
+
+        monkeypatch.setattr(partition, "_iter_labels", no_enumeration)
+        monkeypatch.setattr(counting, "_iter_labels", no_enumeration)
+        with pytest.raises(OutOfRange, match="n must be in 0..20, got 21"):
+            distribution_table(20, 2, budget=25)
+
+    def test_negative_k_max(self):
+        with pytest.raises(OutOfRange, match="k_max must be >= 0, got -1"):
+            distribution_table(3, -1)
 
 
 class TestSequenceTable:

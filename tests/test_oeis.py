@@ -23,7 +23,7 @@ class TestBundled:
     def test_bell_prefix(self):
         ref = bundled("A000110")
         assert ref.values[:6] == (1, 1, 2, 5, 15, 52)
-        assert ref.offset == 0 and ref.source == "bundled"
+        assert ref.offset == 0
 
     def test_catalan_prefix(self):
         assert bundled("A000108").values[:6] == (1, 1, 2, 5, 14, 42)
@@ -41,28 +41,28 @@ class TestBundled:
 
 class TestParse:
     def test_comments_and_offsets(self):
-        ref = parse_bfile("# hi\n2 10\n3 20\n", "A000001", "bundled")
+        ref = parse_bfile("# hi\n2 10\n3 20\n", "A000001")
         assert ref.offset == 2 and ref.values == (10, 20)
         assert ref.value_at(3) == 20 and ref.value_at(1) is None
 
     def test_malformed_line(self):
         with pytest.raises(ParseError):
-            parse_bfile("abc def\n", "A000001", "bundled")
+            parse_bfile("abc def\n", "A000001")
 
     def test_wrong_field_count(self):
         with pytest.raises(ParseError):
-            parse_bfile("1 2 3\n", "A000001", "bundled")
+            parse_bfile("1 2 3\n", "A000001")
 
     def test_non_contiguous(self):
         with pytest.raises(ParseError):
-            parse_bfile("0 1\n2 5\n", "A000001", "bundled")
+            parse_bfile("0 1\n2 5\n", "A000001")
 
     def test_empty(self):
         with pytest.raises(ParseError):
-            parse_bfile("# only comments\n", "A000001", "bundled")
+            parse_bfile("# only comments\n", "A000001")
 
     def test_limit(self):
-        ref = parse_bfile("0 1\n1 2\n2 3\n", "A000001", "fetched", limit=2)
+        ref = parse_bfile("0 1\n1 2\n2 3\n", "A000001", limit=2)
         assert ref.values == (1, 2)
 
 
@@ -96,7 +96,7 @@ class TestFetch:
         body = "0 1\n1 1\n2 2\n3 4\n4 9\n"
         monkeypatch.setattr(urllib.request, "urlopen", _serve(body.encode()))
         ref = fetch_bfile("A001006", limit=10)
-        assert ref.values == (1, 1, 2, 4, 9) and ref.source == "fetched"
+        assert ref.values == (1, 1, 2, 4, 9)
         assert self.cached.read_text() == body
 
     def test_cache_stores_raw_bytes(self, monkeypatch):
@@ -183,20 +183,20 @@ class TestCompare:
 
     def test_corrupted_value_is_reported(self):
         table = counting.count_table("C", 2, 5)
-        bad = RefSequence("A000108", 0, (1, 1, 2, 5, 14, 43), "bundled")
+        bad = RefSequence("A000108", 0, (1, 1, 2, 5, 14, 43))
         diff = compare(table, bad)
         assert not diff.ok
         assert diff.mismatches == ((5, 42, 43),)
 
     def test_offset_alignment(self):
         table = counting.count_table("Bell", None, 5)
-        shifted = RefSequence("A000110", 2, (2, 5, 15, 52), "bundled")
+        shifted = RefSequence("A000110", 2, (2, 5, 15, 52))
         diff = compare(table, shifted)
         assert diff.ok and diff.compared == 4
 
     def test_no_overlap(self):
         table = counting.count_table("Bell", None, 3)
-        far = RefSequence("A000110", 50, (1, 2), "bundled")
+        far = RefSequence("A000110", 50, (1, 2))
         with pytest.raises(NoOverlap):
             compare(table, far)
 

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import crossmap
 
 
@@ -10,3 +13,10 @@ def test_star_import():
     namespace: dict = {}
     exec("from crossmap import *", namespace)
     assert set(crossmap.__all__) <= set(namespace)
+
+
+def test_readme_python_block_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) == 1
+    exec(blocks[0], {})

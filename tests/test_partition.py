@@ -18,7 +18,6 @@ from crossmap.partition import (
     from_blocks,
     parse_text,
     require_full,
-    split_range,
 )
 
 
@@ -203,45 +202,8 @@ class TestEnumeration:
         "m, partial", [(m, False) for m in range(10)] + [(m, True) for m in range(9)]
     )
     def test_raw_arrays_are_valid_partitions(self, m, partial):
-        # bell-check feeds these arrays to the bijection unchecked.
+        # bell-check, enumerated counts and distribution_table use these
+        # arrays unchecked.
         seen = [PartialPartition(m, tuple(labels)).labels for labels in _iter_labels(m, partial)]
         assert partial or all(0 not in labels for labels in seen)
         assert len(seen) == len(set(seen)) == bell_triangle(m + 1 if partial else m)
-
-
-def _partitions(rng):
-    # Through the validating constructor, so every split item is checked.
-    return [PartialPartition(rng.n, tuple(labels)) for labels in rng.label_arrays()]
-
-
-class TestSplitRange:
-    def test_single_part_covers_everything(self):
-        (rng,) = split_range(3, 1)
-        assert len(_partitions(rng)) == 5
-
-    def test_two_parts_sum_bell5(self):
-        ranges = split_range(5, 2)
-        assert len(ranges) == 2
-        assert sum(len(_partitions(r)) for r in ranges) == 52
-
-    def test_excess_parts_are_empty(self):
-        ranges = split_range(4, 100)
-        nonempty = [r for r in ranges if _partitions(r)]
-        assert len(ranges) == 100
-        assert len(nonempty) <= 15
-
-    @pytest.mark.parametrize("parts", [1, 2, 3, 8])
-    @pytest.mark.parametrize("partial", [False, True])
-    @pytest.mark.parametrize("n", [0, 2, 5, 7])
-    def test_union_equals_unsplit_stream(self, n, parts, partial):
-        whole = enumerate_partial(n) if partial else enumerate_full(n)
-        expected = {p.labels for p in whole}
-        got = []
-        for rng in split_range(n, parts, partial=partial):
-            got.extend(p.labels for p in _partitions(rng))
-        assert len(got) == len(expected)
-        assert set(got) == expected
-
-    def test_bad_parts(self):
-        with pytest.raises(OutOfRange):
-            split_range(3, 0)
