@@ -6,7 +6,7 @@ under the classical convention singletons contribute nothing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from .errors import OutOfRange
@@ -40,6 +40,9 @@ class ArcSet:
 
     mode: str
     arcs: tuple[Arc, ...]
+    #: ``crossings`` keeps its witness walk per (kind, strict) here; the
+    #: arcs never change, so the memo lives as long as they do.
+    _walks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in (CLASSICAL, ENHANCED):

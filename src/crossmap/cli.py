@@ -13,7 +13,7 @@ from itertools import islice
 from . import counting, oeis
 from .arcs import CLASSICAL, ENHANCED, arcs_classical, arcs_enhanced
 from .bijection import forward, reverse, witness_forward
-from .crossings import CROSSING, NESTING, CrossingWitness, _search, count_k_witnesses
+from .crossings import CROSSING, NESTING, count_k_witnesses, find_k_crossing, find_k_nesting
 from .diagram import render_overlay
 from .errors import (
     CrossmapError,
@@ -95,14 +95,13 @@ def _cmd_map(args) -> int:
         src_arcs = arcs_enhanced(src)
         dst_arcs = arcs_classical(dst)
         for k in range(1, args.witnesses + 1):
-            for kind in (CROSSING, NESTING):
-                # The classical count checks k before the enhanced search,
-                # whose count comes with the least witness.
+            for kind, find in ((CROSSING, find_k_crossing), (NESTING, find_k_nesting)):
+                # Each side is walked once per kind; every k reads that walk.
                 cla = count_k_witnesses(dst_arcs, k, kind, CLASSICAL)
-                enh, arcs = _search(src_arcs.arcs, k, kind, False, False)
+                enh = count_k_witnesses(src_arcs, k, kind, ENHANCED)
                 line = f"k={k} {kind}: enhanced={enh} classical={cla}"
-                if arcs:
-                    w = CrossingWitness(kind, ENHANCED, arcs)
+                w = find(src_arcs, k, ENHANCED)
+                if w is not None:
                     line += (
                         f" witness={json.dumps(w.to_json())}"
                         f" image={json.dumps(witness_forward(w).to_json())}"

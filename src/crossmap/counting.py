@@ -329,12 +329,18 @@ def count_table(family: str, k: Optional[int], n_max: int, budget: int = DEFAULT
     Counts come from enumeration, never from the walk, so comparing them
     with the walk-generated snapshots is an independent check.
     """
+    enumerated = family in (FAMILY_C, FAMILY_E)
+    if enumerated:
+        # Every n passes its checks before any is enumerated, so a bad n_max
+        # fails at once, with the error the first bad n raises.
+        for n in range(n_max + 1):
+            _check_budget(k, n, budget)
+            _check_n(n)
     column = {}
     for n in range(n_max + 1):
         if family == FAMILY_BELL:
             column[n] = bell(n)
-        elif family in (FAMILY_C, FAMILY_E):
-            _check_budget(k, n, budget)
+        elif enumerated:
             column[n] = _count_cached(k, n, family == FAMILY_E)
         else:
             raise OutOfRange(f"unknown family {family!r}")

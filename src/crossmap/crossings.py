@@ -6,10 +6,14 @@ together with a_k <= b_1 (enhanced) or a_k < b_1 (classical).  A k-nesting
 instead has b_k < ... < b_1 with a_k <= b_k (enhanced) or a_k < b_k
 (classical).  Loops can therefore only ever appear in enhanced witnesses.
 
-One pruned backtracking search, ``_search``, walks arcs in left-endpoint
-order and serves finding, counting and the maximal orders for both kinds.
-The brute-force oracle re-checks the defining inequalities on every
-k-subset and exists purely to cross-validate that search.
+One pruned depth-first walk, ``_walk``, takes arcs in left-endpoint order
+and tallies, for every order k at once, the number of k-witnesses of one
+kind and the least one; a stop order ends it at the first witness of that
+order, for the enumeration route.  The unstopped walk is memoised per
+(kind, mode) on the immutable ``ArcSet``, so finding, counting and the
+maximal orders for any k read one walk.  The brute-force oracle re-checks
+the defining inequalities on every k-subset and exists purely to
+cross-validate that walk.
 """
 from __future__ import annotations
 
@@ -26,6 +30,9 @@ NESTING = "nesting"
 
 MAX_K = 8
 ORACLE_MAX_ARCS = 24
+
+#: What ``_walk`` returns: (counts, least, found).
+_Walk = tuple[list[int], list[tuple[Arc, ...]], tuple[Arc, ...]]
 
 
 @dataclass(frozen=True)
@@ -66,29 +73,38 @@ def _strict(mode: str) -> bool:
     return mode == CLASSICAL
 
 
-def _search(
-    arcs: Sequence[Arc], k: int, kind: str, strict: bool, first: bool
-) -> tuple[int, tuple[Arc, ...]]:
-    """(number of k-witnesses of one kind, the least one by index or ()).
+def _walk(
+    arcs: Sequence[Arc], kind: str, strict: bool, stop: int = 0
+) -> _Walk:
+    """Per order j, the number of j-witnesses of one kind and the least one.
 
-    ``arcs`` must be sorted by left endpoint.  With ``first`` the search
-    stops at the least witness, so the count is 1 or 0.  Each arc after the
-    first must start before a limit: the first right end (plus one unless
-    strict) for a crossing, the last right end for a nesting.  Left ends
-    increase, so the scan stops at the first arc past the limit.  Strict
-    witnesses hold no loop, and a loop can only close a nesting.
+    ``arcs`` must be sorted by left endpoint.  Every prefix of a witness in
+    left-endpoint order is a witness of the same kind and mode, so one
+    depth-first walk over prefixes visits every witness of every order once,
+    and the first j-witness it reaches is the least by index.  Returns
+    ``(counts, least, found)``.  Without ``stop``, ``counts[j]`` and
+    ``least[j]`` cover j = 0 .. the largest order (index 0 is the empty
+    witness) and ``found`` is ().  With ``stop``, the walk keeps no tallies,
+    skips prefixes too short to grow to ``stop`` arcs and ends at the first
+    ``stop``-witness, which is ``found`` (() if there is none).
+
+    Each arc after the first must start before a limit: the first right end
+    (plus one unless strict) for a crossing, the last right end for a
+    nesting.  Left ends increase, so the scan stops at the first arc past
+    the limit.  Strict witnesses hold no loop, and a loop can only close a
+    nesting.
     """
     nesting = kind == NESTING
     slack = not strict
     n = len(arcs)
-    leaf = k - 1
+    counts = [1]
+    least: list[tuple[Arc, ...]] = [()]
+    path: list[Optional[Arc]] = [None] * n
 
-    def extend(start: int, j: int, limit: float, last_right: float) -> tuple[int, tuple[Arc, ...]]:
-        # j arcs are chosen; the next comes from arcs[start:] and leaves
-        # room for the k - j - 1 after it.
-        total = 0
-        least: tuple[Arc, ...] = ()
-        for i in range(start, n - leaf + j):
+    def extend(start: int, d: int, limit: float, last_right: float) -> tuple[Arc, ...]:
+        # d - 1 arcs are chosen; the d-th comes from arcs[start:].  Returns
+        # the tail of the stop-witness, built on the way back up.
+        for i in range(start, n - stop + d if stop else n):
             a = arcs[i]
             left = a[0]  # indexing: unpacking a namedtuple is slower
             right = a[1]
@@ -101,32 +117,45 @@ def _search(
                     continue
             elif right <= last_right:
                 continue
-            if j == leaf:
-                count, tail = 1, ()
-            else:
-                below = right if nesting else limit if j else right + slack
-                count, tail = extend(i + 1, j + 1, below, right)
-                if not count:
-                    continue
-            if first:
-                return 1, (a,) + tail
-            if not total:
-                least = (a,) + tail
-            total += count
-        return total, least
+            if d == stop:
+                return (a,)
+            if not stop:
+                path[d - 1] = a
+                if d < len(counts):
+                    counts[d] += 1
+                else:
+                    counts.append(1)
+                    least.append(tuple(path[:d]))
+            below = right if nesting else limit if d > 1 else right + slack
+            tail = extend(i + 1, d + 1, below, right)
+            if tail:
+                return (a,) + tail
+        return ()
 
-    return extend(0, 0, inf, inf if nesting else 0)
+    found = extend(0, 1, inf, inf if nesting else 0)
+    # extend refers to itself; dropping the name frees it (and the lists it
+    # holds) now rather than in a garbage-collector pass.
+    del extend
+    return counts, least, found
 
 
 def _find_crossing(arcs: Sequence[Arc], k: int, strict: bool) -> Optional[tuple[Arc, ...]]:
-    return _search(arcs, k, CROSSING, strict, True)[1] or None
+    return _walk(arcs, CROSSING, strict, k)[2] or None
+
+
+def _walked(a: ArcSet, kind: str, mode: Optional[str]) -> _Walk:
+    """The unstopped walk of one kind on a, memoised on the arc set."""
+    key = (kind, _strict(mode or a.mode))
+    walk = a._walks.get(key)
+    if walk is None:
+        walk = a._walks[key] = _walk(a.arcs, *key)
+    return walk
 
 
 def _find(a: ArcSet, k: int, kind: str, mode: Optional[str]) -> Optional[CrossingWitness]:
     _check_k(k)
-    mode = mode or a.mode
-    arcs = _search(a.arcs, k, kind, _strict(mode), True)[1]
-    return CrossingWitness(kind, mode, arcs) if arcs else None
+    least = _walked(a, kind, mode)[1]
+    return CrossingWitness(kind, mode or a.mode, least[k]) if k < len(least) else None
 
 
 def find_k_crossing(a: ArcSet, k: int, mode: Optional[str] = None) -> Optional[CrossingWitness]:
@@ -140,27 +169,25 @@ def find_k_nesting(a: ArcSet, k: int, mode: Optional[str] = None) -> Optional[Cr
 
 
 def _max_order(arcs: Sequence[Arc], kind: str, strict: bool) -> int:
-    k = 0
-    while k < len(arcs) and _search(arcs, k + 1, kind, strict, True)[0]:
-        k += 1
-    return k
+    return len(_walk(arcs, kind, strict)[0]) - 1
 
 
 def max_crossing_number(a: ArcSet, mode: Optional[str] = None) -> int:
     """Largest k admitting a k-crossing; 0 when no arc qualifies."""
-    return _max_order(a.arcs, CROSSING, _strict(mode or a.mode))
+    return len(_walked(a, CROSSING, mode)[0]) - 1
 
 
 def max_nesting_number(a: ArcSet, mode: Optional[str] = None) -> int:
     """Largest k admitting a k-nesting; 0 when no arc qualifies."""
-    return _max_order(a.arcs, NESTING, _strict(mode or a.mode))
+    return len(_walked(a, NESTING, mode)[0]) - 1
 
 
 def count_k_witnesses(a: ArcSet, k: int, kind: str, mode: Optional[str] = None) -> int:
     """Number of distinct k-subsets of arcs forming a valid witness."""
     _check_k(k)
     _check_kind(kind)
-    return _search(a.arcs, k, kind, _strict(mode or a.mode), False)[0]
+    counts = _walked(a, kind, mode)[0]
+    return counts[k] if k < len(counts) else 0
 
 
 def _is_witness(arcs: Sequence[Arc], kind: str, strict: bool) -> bool:

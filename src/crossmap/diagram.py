@@ -10,9 +10,9 @@ the image arc.  Loops are drawn as unit tents over their vertex.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .arcs import Arc, arcs_classical, arcs_enhanced
+from .arcs import Arc, _arcs
 from .bijection import forward
 from .errors import OutOfRange
 from .partition import PartialPartition
@@ -24,8 +24,7 @@ IMAGE = "image"
 _COLOR = re.compile(r"#[0-9A-Fa-f]+|[A-Za-z]+")
 
 
-@dataclass(frozen=True)
-class ArcGeometry:
+class ArcGeometry(NamedTuple):
     layer: str  # source (the input partition) or image (its forward map)
     arc: Arc
     points: tuple[tuple[int, int], ...]
@@ -35,23 +34,20 @@ class ArcGeometry:
         return self.points[1]
 
 
-def _image_arc_points(arc: Arc) -> tuple[tuple[int, int], ...]:
-    x, y = arc.left, arc.right
-    return ((2 * x - 2, 0), (x + y - 2, y - x), (2 * y - 2, 0))
-
-
-def _source_arc_points(arc: Arc) -> tuple[tuple[int, int], ...]:
-    x, y = arc.left, arc.right
-    if arc.is_loop:
-        return ((2 * x - 2, 1), (2 * x - 1, 2), (2 * x, 1))
-    return ((2 * x - 1, 1), (x + y - 1, y - x + 1), (2 * y - 1, 1))
-
-
 def render_strip_coordinates(p: PartialPartition) -> list[ArcGeometry]:
     """Tent polylines for the enhanced arcs of p and the classical arcs of
     forward(p), in shared strip coordinates."""
-    out = [ArcGeometry(SOURCE, a, _source_arc_points(a)) for a in arcs_enhanced(p)]
-    out += [ArcGeometry(IMAGE, a, _image_arc_points(a)) for a in arcs_classical(forward(p))]
+    out = []
+    for a in _arcs(p.labels, True):
+        x, y = a
+        if x == y:
+            pts = ((2 * x - 2, 1), (2 * x - 1, 2), (2 * x, 1))
+        else:
+            pts = ((2 * x - 1, 1), (x + y - 1, y - x + 1), (2 * y - 1, 1))
+        out.append(ArcGeometry(SOURCE, a, pts))
+    for a in _arcs(forward(p).labels, False):
+        x, y = a
+        out.append(ArcGeometry(IMAGE, a, ((2 * x - 2, 0), (x + y - 2, y - x), (2 * y - 2, 0))))
     return out
 
 
@@ -74,12 +70,8 @@ def render_overlay(
     top = max((g.apex[1] for g in geoms), default=1) + 1
     width = 2 * (n1 - 1) * scale + 2 * margin
     height = top * scale + 2 * margin
-
-    def sx(x: int) -> int:
-        return margin + x * scale
-
-    def sy(y: int) -> int:
-        return margin + (top - 1 - y) * scale + scale
+    # Strip point (x, y) is drawn at (margin + x * scale, base - y * scale).
+    base = margin + top * scale
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -93,16 +85,22 @@ def render_overlay(
         f'.source-vertex{{fill:{source_color}}}'
         f".label{{font:italic {scale // 2}px serif;text-anchor:middle}}</style>",
     ]
-    for g in geoms:
-        pts = " ".join(f"{sx(x)},{sy(y)}" for x, y in g.points)
-        lines.append(f'<polyline class="{g.layer}-arc" points="{pts}"/>')
+    for layer, _, ((ax, ay), (bx, by), (cx, cy)) in geoms:
+        lines.append(
+            f'<polyline class="{layer}-arc" points="'
+            f"{margin + ax * scale},{base - ay * scale} "
+            f"{margin + bx * scale},{base - by * scale} "
+            f'{margin + cx * scale},{base - cy * scale}"/>'
+        )
+    label_y = base + scale // 2 + 8
     for j in range(1, n1 + 1):
-        cx = sx(2 * (j - 1))
-        lines.append(f'<circle class="baseline-vertex" cx="{cx}" cy="{sy(0)}" r="4"/>')
-        lines.append(f'<text class="label" x="{cx}" y="{sy(0) + scale // 2 + 8}">{j}</text>')
+        cx = margin + 2 * (j - 1) * scale
+        lines.append(f'<circle class="baseline-vertex" cx="{cx}" cy="{base}" r="4"/>')
+        lines.append(f'<text class="label" x="{cx}" y="{label_y}">{j}</text>')
+    source_y = base - scale
     for i in range(1, p.n + 1):
         lines.append(
-            f'<circle class="source-vertex" cx="{sx(2 * i - 1)}" cy="{sy(1)}" r="4"/>'
+            f'<circle class="source-vertex" cx="{margin + (2 * i - 1) * scale}" cy="{source_y}" r="4"/>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

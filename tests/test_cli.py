@@ -195,17 +195,16 @@ class TestMap:
 
     def test_witness_table_searches_once_per_kind(self, capsys, monkeypatch):
         calls = []
-        search = crossings._search
+        walk = crossings._walk
 
         def counted(*args):
             calls.append(args)
-            return search(*args)
+            return walk(*args)
 
-        monkeypatch.setattr(crossings, "_search", counted)
-        monkeypatch.setattr(cli, "_search", counted, raising=False)
+        monkeypatch.setattr(crossings, "_walk", counted)
         code, _, _ = run(capsys, "map", "--input", PAPER_PI, "--witnesses", "4")
-        # One enhanced and one classical search per (k, kind).
-        assert code == 0 and len(calls) == 2 * 2 * 4
+        # One walk per side and kind answers every k.
+        assert code == 0 and len(calls) == 2 * 2
 
     @pytest.mark.parametrize("argv, calls", [((PAPER_PI,), 1), ((PAPER_PI_HAT, "--reverse"), 0)])
     def test_witness_table_maps_once(self, capsys, monkeypatch, argv, calls):
@@ -274,6 +273,24 @@ class TestOeisCheck:
         monkeypatch.setattr(urllib.request, "urlopen", boom)
         code, out, _ = run(capsys, "oeis-check", "--id", "A000110", "--fetch")
         assert code == 0 and out == "OK (13 terms compared)\n"
+
+    @pytest.mark.parametrize(
+        "budget, code, err",
+        [
+            ("25", 2, "error: n must be in 0..20, got 21\n"),
+            ("15", 3, "error: n=16 exceeds the enumeration budget 15\n"),
+        ],
+        ids=["ground-set-cap", "budget"],
+    )
+    def test_n_max_checked_before_enumerating(self, capsys, monkeypatch, budget, code, err):
+        # Enumerating up to the bad n would take hours; the checks come first.
+        def boom(*args):
+            raise AssertionError("enumerated before every n was checked")
+
+        monkeypatch.setattr(counting, "_count_cached", boom)
+        assert run(
+            capsys, "oeis-check", "--id", "A108304", "--n-max", "21", "--budget", budget
+        ) == (code, "", err)
 
 
 class TestBellCheck:

@@ -5,8 +5,10 @@ import pytest
 from crossmap.arcs import Arc, ArcSet, CLASSICAL, ENHANCED, arcs_classical, arcs_enhanced
 from crossmap.crossings import (
     CROSSING,
+    MAX_K,
     NESTING,
     CrossingWitness,
+    _find_crossing,
     count_k_witnesses,
     find_k_crossing,
     find_k_nesting,
@@ -154,6 +156,50 @@ class TestOracle:
                 if fast is not None:
                     assert fast.arcs == slow.arcs
                 assert count_k_witnesses(a, k, kind, mode) == oracle_count(a, k, kind, mode)
+
+
+class TestWalk:
+    """One walk per (kind, mode) answers every k; its memo lives on the ArcSet."""
+
+    @pytest.mark.parametrize("mode", [CLASSICAL, ENHANCED])
+    @pytest.mark.parametrize("kind", [CROSSING, NESTING])
+    @pytest.mark.parametrize("n", range(7))
+    def test_every_order_agrees_with_oracle(self, n, kind, mode):
+        finder = find_k_crossing if kind == CROSSING else find_k_nesting
+        for p in enumerate_partial(n):
+            # A fresh arc set, asked for the highest k first, so an answer
+            # cannot come from a memo an earlier, smaller k filled.
+            a = arcs_enhanced(p)
+            for k in range(MAX_K, 0, -1):
+                slow = oracle_find(a, k, kind, mode)
+                fast = finder(a, k, mode)
+                assert (fast and fast.arcs) == (slow and slow.arcs)
+                assert count_k_witnesses(a, k, kind, mode) == oracle_count(a, k, kind, mode)
+                if kind == CROSSING:
+                    stopped = _find_crossing(a.arcs, k, mode == CLASSICAL)
+                    assert stopped == (slow and slow.arcs)
+
+    @pytest.mark.parametrize("mode", [CLASSICAL, ENHANCED])
+    def test_max_numbers_match_oracle(self, mode):
+        for n in range(8):
+            for p in enumerate_partial(n):
+                a = arcs_enhanced(p)
+                for kind, maxer in ((CROSSING, max_crossing_number), (NESTING, max_nesting_number)):
+                    k = 0
+                    while k < MAX_K and oracle_find(a, k + 1, kind, mode) is not None:
+                        k += 1
+                    assert maxer(a, mode) == k
+
+    def test_memo_is_not_part_of_the_value(self):
+        for p in enumerate_partial(4):
+            a = arcs_enhanced(p)
+            for kind in (CROSSING, NESTING):
+                for mode in (CLASSICAL, ENHANCED):
+                    count_k_witnesses(a, 1, kind, mode)
+            assert len(a._walks) == 4
+            fresh = arcs_enhanced(p)
+            assert not fresh._walks
+            assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
 
 
 def _pairwise_witness(arcs, kind, mode):

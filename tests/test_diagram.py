@@ -1,4 +1,7 @@
+import hashlib
 import xml.etree.ElementTree as ET
+
+import pytest
 
 from crossmap.arcs import Arc
 from crossmap.diagram import (
@@ -10,6 +13,18 @@ from crossmap.diagram import (
 from crossmap.partition import parse_text
 
 PAPER_PI = "9:1,4,7,9/2,5/3/6"
+
+#: sha256 over the SVGs of every partial partition with n <= 5, in
+#: enumeration order, per (scale, colours), as the renderer wrote them
+#: before it formatted every element in one pass.
+SVG_DIGESTS = {
+    (1, ()): "8246a5d2081b40162324210cbcee39db5fd237551fc3efb17fcf97dd267bf0ff",
+    (1, ("orange", "navy")): "66c339a8c1a933d81ee63af8b688e9589a9e40ee0f51cbf014af581a9dc5095e",
+    (7, ()): "46595a30e69702eca9b206e252d842e8f6af360c2f78f9711f3fb0efb4bd48b2",
+    (7, ("orange", "navy")): "5846408c80744ed9eea9e93e4f2fbf85b9bc90045d36081310317e8a1b944775",
+    (24, ()): "aa849b050543d321aa2f7927376e7e872d6f44e8f3544ca0d18a1721aea71407",
+    (24, ("orange", "navy")): "b142dc2109e70527427d4f89468adbb9119aa3d546ffdf85c076850537f34700",
+}
 
 
 def _svg_elements(svg, tag, cls):
@@ -89,3 +104,13 @@ class TestSvg:
     def test_colors_configurable(self):
         svg = render_overlay(parse_text("2:1,2"), source_color="#ff0000")
         assert "#ff0000" in svg
+
+    @pytest.mark.parametrize("scale, colors", list(SVG_DIGESTS))
+    def test_bytes_match_snapshot(self, scale, colors):
+        from crossmap.partition import enumerate_partial
+
+        digest = hashlib.sha256()
+        for n in range(6):
+            for p in enumerate_partial(n):
+                digest.update(render_overlay(p, scale, *colors).encode())
+        assert digest.hexdigest() == SVG_DIGESTS[scale, colors]
