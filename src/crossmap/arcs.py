@@ -6,7 +6,6 @@ under the classical convention singletons contribute nothing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from .errors import OutOfRange
@@ -29,41 +28,72 @@ class Arc(NamedTuple):
         return self.right - self.left
 
 
-@dataclass(frozen=True)
 class ArcSet:
     """Arcs of one partition, sorted by left endpoint.
 
     Left endpoints are pairwise distinct and so are right endpoints: within
     a block each element has at most one successor and one predecessor, and
-    a loop uses up both roles of its element.
+    a loop uses up both roles of its element.  Immutable; equal, and equally
+    hashed, when the mode and the arcs are.
     """
 
-    mode: str
-    arcs: tuple[Arc, ...]
-    #: ``crossings`` keeps its witness walk per (kind, strict) here; the
-    #: arcs never change, so the memo lives as long as they do.
-    _walks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("mode", "arcs", "_walks")
 
-    def __post_init__(self):
-        if self.mode not in (CLASSICAL, ENHANCED):
-            raise OutOfRange(f"unknown arc mode {self.mode!r}")
-        lefts = [a.left for a in self.arcs]
-        rights = [a.right for a in self.arcs]
+    def __init__(self, mode: str, arcs: tuple[Arc, ...]):
+        if mode not in (CLASSICAL, ENHANCED):
+            raise OutOfRange(f"unknown arc mode {mode!r}")
+        lefts = [a.left for a in arcs]
+        rights = [a.right for a in arcs]
         if lefts != sorted(lefts) or len(set(lefts)) != len(lefts):
             raise OutOfRange("arcs must be sorted by distinct left endpoints")
         if len(set(rights)) != len(rights):
             raise OutOfRange("right endpoints must be distinct")
-        for a in self.arcs:
+        for a in arcs:
             if not 1 <= a.left <= a.right:
                 raise OutOfRange(f"bad arc {a}")
-            if a.is_loop and self.mode == CLASSICAL:
+            if a.is_loop and mode == CLASSICAL:
                 raise OutOfRange("classical arc sets cannot contain loops")
+        _fill(self, mode, arcs)
+
+    def __eq__(self, other):
+        if other.__class__ is not ArcSet:
+            return NotImplemented
+        return self.mode == other.mode and self.arcs == other.arcs
+
+    def __hash__(self):
+        return hash((self.mode, self.arcs))
+
+    def __repr__(self):
+        return f"ArcSet(mode={self.mode!r}, arcs={self.arcs!r})"
+
+    def __reduce__(self):
+        return ArcSet, (self.mode, self.arcs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __iter__(self):
         return iter(self.arcs)
 
     def __len__(self):
         return len(self.arcs)
+
+
+def _fill(a: ArcSet, mode: str, arcs: tuple[Arc, ...]) -> ArcSet:
+    """Set a's fields unchecked: ``arcs_classical`` and ``arcs_enhanced``
+    pass arcs that ``_arcs`` built sorted and valid.
+
+    ``crossings`` keeps its witness walk per (kind, strict) in ``_walks``;
+    the arcs never change, so the memo lives as long as they do.  It is no
+    part of the value.
+    """
+    object.__setattr__(a, "mode", mode)
+    object.__setattr__(a, "arcs", arcs)
+    object.__setattr__(a, "_walks", {})
+    return a
 
 
 def _arcs(labels: Iterable[int], enhanced: bool) -> list[Arc]:
@@ -87,12 +117,12 @@ def _arcs(labels: Iterable[int], enhanced: bool) -> list[Arc]:
 
 def arcs_classical(p: PartialPartition) -> ArcSet:
     """One arc per consecutive pair within a block; no loops."""
-    return ArcSet(CLASSICAL, tuple(_arcs(p.labels, False)))
+    return _fill(object.__new__(ArcSet), CLASSICAL, tuple(_arcs(p.labels, False)))
 
 
 def arcs_enhanced(p: PartialPartition) -> ArcSet:
     """Classical arcs plus a loop for every singleton block."""
-    return ArcSet(ENHANCED, tuple(_arcs(p.labels, True)))
+    return _fill(object.__new__(ArcSet), ENHANCED, tuple(_arcs(p.labels, True)))
 
 
 def distance_multiset(a: ArcSet) -> list[int]:

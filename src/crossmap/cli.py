@@ -2,19 +2,20 @@
 
 Exit codes: 0 success / all checks hold, 1 verification failure, 2 usage
 error, 3 budget or overflow, 4 network failure.
+
+``json``, ``oeis`` and ``diagram`` serve only some commands, which import
+them when they run, so every other command starts without them.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from itertools import islice
 
-from . import counting, oeis
+from . import counting
 from .arcs import CLASSICAL, ENHANCED, arcs_classical, arcs_enhanced
 from .bijection import forward, reverse, witness_forward
 from .crossings import CROSSING, NESTING, count_k_witnesses, find_k_crossing, find_k_nesting
-from .diagram import render_overlay
 from .errors import (
     CrossmapError,
     NetworkError,
@@ -72,6 +73,8 @@ def _cmd_verify_identity(args) -> int:
         for n in range(args.n_max + 1)
     ]
     if args.json:
+        import json
+
         print(json.dumps([r.to_json() for r in reports]))
     else:
         for r in reports:
@@ -89,6 +92,8 @@ def _cmd_map(args) -> int:
     image = reverse(p) if args.reverse else forward(p)
     print(image.to_text())
     if args.witnesses:
+        import json
+
         # The classical side is forward(src): the image, or in reverse mode
         # the input itself, since forward(reverse(p)) == p.
         src, dst = (image, p) if args.reverse else (p, image)
@@ -112,6 +117,8 @@ def _cmd_map(args) -> int:
 
 def _cmd_render(args) -> int:
     _at_least("--scale", args.scale, 1)
+    from .diagram import render_overlay
+
     p = parse_text(args.input)
     svg = render_overlay(
         p,
@@ -128,6 +135,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_oeis_check(args) -> int:
+    from . import oeis
+
     if args.id not in OEIS_CHECKS:
         raise UnknownId(f"no check defined for {args.id}")
     _at_least("--budget", args.budget, 0)

@@ -6,7 +6,9 @@ it raises Overflow instead of wrapping.
 ``count_C``, ``count_E`` and ``count_partial_E`` (and so ``verify_identity``)
 count by a polynomial walk over vacillating tableaux (Chen, Deng, Du,
 Stanley and Yan): a partition of [n] has no k-crossing exactly when its
-tableau never has more than k-1 rows.  Exhaustive enumeration of all
+tableau never has more than k-1 rows.  The walk memoises each shape's
+steps and prunes shapes with more cells than steps left, which cannot
+return to the empty shape.  Exhaustive enumeration of all
 partitions is kept as the independent route: a count takes it when
 ``parts > 1``, and ``count_table`` (behind ``oeis-check``) always uses it,
 because the bundled A108304/A108307 snapshots come from the same walk.
@@ -18,9 +20,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .arcs import _arcs
 from .bijection import _reverse_labels
@@ -106,34 +107,53 @@ def _remove_corners(shape: tuple[int, ...]) -> list[tuple[int, ...]]:
     return res
 
 
-def _walk(k: int, n: int, enhanced: bool, partial: bool) -> int:
-    """Closed walks of length n on shapes with at most k-1 rows.
+def _steps(
+    shape: tuple[int, ...], rows: int, enhanced: bool, partial: bool
+) -> list[tuple[int, tuple[int, ...]]]:
+    """Every shape one step leads to from ``shape``, as (cells, shape) pairs.
 
-    One step per element of [n].  Classical: remove a corner or do nothing,
-    then add a corner or do nothing.  Enhanced: one of (nothing, add),
-    (remove, nothing) or (add, remove).  ``partial`` adds a step that keeps
-    the shape, for an element absent from the ground subset.
+    Classical: remove a corner or do nothing, then add a corner or do
+    nothing.  Enhanced: one of (nothing, add), (remove, nothing) or (add,
+    remove).  ``partial`` adds a step that keeps the shape, for an element
+    absent from the ground subset.  A shape reached in several ways appears
+    once per way.
+    """
+    if enhanced:
+        added = _add_corners(shape, rows)
+        targets = added + _remove_corners(shape)
+        for a in added:
+            targets += _remove_corners(a)
+    else:
+        targets = [
+            t
+            for removed in [shape] + _remove_corners(shape)
+            for t in [removed] + _add_corners(removed, rows)
+        ]
+    if partial:
+        targets.append(shape)
+    return [(sum(t), t) for t in targets]
+
+
+def _walk(k: int, n: int, enhanced: bool, partial: bool) -> int:
+    """Closed walks of length n on shapes with at most k-1 rows, one
+    ``_steps`` step per element of [n].
+
+    Each shape's steps are built once per walk.  A step removes at most one
+    cell, so a shape with more cells than steps left never returns to the
+    empty shape, and the walk drops it.
     """
     rows = k - 1
+    steps: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
     states = {(): 1}
-    for _ in range(n):
+    for left in range(n - 1, -1, -1):
         nxt: dict[tuple[int, ...], int] = {}
         for shape, c in states.items():
-            if enhanced:
-                added = _add_corners(shape, rows)
-                targets = added + _remove_corners(shape)
-                for a in added:
-                    targets += _remove_corners(a)
-            else:
-                targets = [
-                    t
-                    for removed in [shape] + _remove_corners(shape)
-                    for t in [removed] + _add_corners(removed, rows)
-                ]
-            if partial:
-                targets.append(shape)
-            for t in targets:
-                nxt[t] = nxt.get(t, 0) + c
+            table = steps.get(shape)
+            if table is None:
+                table = steps[shape] = _steps(shape, rows, enhanced, partial)
+            for cells, t in table:
+                if cells <= left:
+                    nxt[t] = nxt.get(t, 0) + c
         states = nxt
     return checked(states.get((), 0))
 
@@ -176,8 +196,7 @@ def count_partial_E(k: int, n: int, parts: int = 1, budget: int = DEFAULT_BUDGET
     return _count(k, n, enhanced=True, partial=True, parts=parts)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """One instance of a binomial-transform identity check."""
 
     k: Optional[int]
@@ -267,8 +286,7 @@ def verify_eigensequence(n: int, budget: int = DEFAULT_BUDGET) -> IdentityReport
     )
 
 
-@dataclass(frozen=True)
-class DistributionRow:
+class DistributionRow(NamedTuple):
     kind: str
     k: int
     partial_enhanced: int
@@ -279,8 +297,7 @@ class DistributionRow:
         return self.partial_enhanced == self.full_classical
 
 
-@dataclass(frozen=True)
-class DistributionTable:
+class DistributionTable(NamedTuple):
     """Distribution of maximal crossing/nesting orders on both sides.
 
     For each k, pairs the number of partitions of subsets of [n] whose

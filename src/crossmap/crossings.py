@@ -17,10 +17,9 @@ cross-validate that walk.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import inf
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .arcs import Arc, ArcSet, CLASSICAL, ENHANCED
 from .errors import InvalidK, OutOfRange, TooManyArcs
@@ -35,8 +34,7 @@ ORACLE_MAX_ARCS = 24
 _Walk = tuple[list[int], list[tuple[Arc, ...]], tuple[Arc, ...]]
 
 
-@dataclass(frozen=True)
-class CrossingWitness:
+class CrossingWitness(NamedTuple):
     """k arcs certifying one k-crossing or k-nesting."""
 
     kind: str

@@ -13,10 +13,9 @@ from __future__ import annotations
 import os
 import re
 import tempfile
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import NetworkError, NoOverlap, ParseError, UnknownId
 
@@ -27,8 +26,7 @@ _BFILE_URL = "https://oeis.org/{id}/b{digits}.txt"
 DEFAULT_TIMEOUT = 10.0
 
 
-@dataclass(frozen=True)
-class RefSequence:
+class RefSequence(NamedTuple):
     id: str
     offset: int
     values: tuple[int, ...]
@@ -132,8 +130,7 @@ def fetch_bfile(oeis_id: str, limit: int) -> RefSequence:
     return ref
 
 
-@dataclass(frozen=True)
-class SequenceDiff:
+class SequenceDiff(NamedTuple):
     """Mismatches between a computed column and a reference sequence."""
 
     compared: int

@@ -8,7 +8,6 @@ lexicographically for deterministic enumeration (0 sorts before 1).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import DuplicateElement, EmptyBlock, NotFull, OutOfRange, ParseError
@@ -17,30 +16,49 @@ from .errors import DuplicateElement, EmptyBlock, NotFull, OutOfRange, ParseErro
 MAX_N = 20
 
 
-@dataclass(frozen=True)
 class PartialPartition:
-    """A set partition of a subset of [n], in restricted-growth form."""
+    """A set partition of a subset of [n], in restricted-growth form.
 
-    n: int
-    labels: tuple[int, ...]
+    Immutable; equal, and equally hashed, when n and the labels are.
+    """
 
-    def __post_init__(self):
-        if not 0 <= self.n <= MAX_N:
-            raise OutOfRange(f"ambient n must be in 0..{MAX_N}, got {self.n}")
-        if len(self.labels) != self.n:
-            raise OutOfRange(
-                f"label array has length {len(self.labels)}, expected {self.n}"
-            )
+    __slots__ = ("n", "labels")
+
+    def __init__(self, n: int, labels: tuple[int, ...]):
+        if not 0 <= n <= MAX_N:
+            raise OutOfRange(f"ambient n must be in 0..{MAX_N}, got {n}")
+        if len(labels) != n:
+            raise OutOfRange(f"label array has length {len(labels)}, expected {n}")
         seen_max = 0
-        for j, v in enumerate(self.labels):
+        for j, v in enumerate(labels):
             if v < 0:
                 raise OutOfRange(f"negative label at position {j + 1}")
             if v > seen_max + 1:
-                raise OutOfRange(
-                    f"label {v} at position {j + 1} breaks restricted growth"
-                )
+                raise OutOfRange(f"label {v} at position {j + 1} breaks restricted growth")
             if v == seen_max + 1:
                 seen_max = v
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "labels", labels)
+
+    def __eq__(self, other):
+        if other.__class__ is not PartialPartition:
+            return NotImplemented
+        return self.n == other.n and self.labels == other.labels
+
+    def __hash__(self):
+        return hash((self.n, self.labels))
+
+    def __repr__(self):
+        return f"PartialPartition(n={self.n!r}, labels={self.labels!r})"
+
+    def __reduce__(self):
+        return PartialPartition, (self.n, self.labels)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def num_blocks(self) -> int:

@@ -384,21 +384,33 @@ class TestReadme:
         assert _run_readme_line(capsys, argv, tmp_path) == README_DIGESTS[" ".join(argv)]
 
 
+def _loaded_modules(code: str) -> set:
+    """Modules loaded after running ``code`` in a fresh interpreter that
+    writes and reads bytecode, as an installed package would."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\nprint(' '.join(sys.modules))"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
 class TestColdStart:
     def test_cli_import_loads_no_network_stack(self):
         # Only ``oeis-check --fetch`` needs HTTP; importing the network stack
         # at start-up would double the wall time of every other command.
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = (
-            "import sys\n"
-            "before = set(sys.modules)\n"
-            "import crossmap.cli\n"
-            "network = {'requests', 'urllib.request', 'http.client', 'ssl'}\n"
-            "print(sorted(network & (set(sys.modules) - before)))\n"
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == "[]\n"
+        network = {"requests", "urllib.request", "http.client", "ssl"}
+        added = _loaded_modules("import crossmap.cli") - _loaded_modules("pass")
+        assert network & added == set()
+
+    def test_cli_import_loads_only_what_every_command_needs(self):
+        # ``dataclasses`` pulls in ``inspect``, ``ast``, ``dis`` and
+        # ``tokenize``; ``json``, ``oeis`` and ``diagram`` serve a few
+        # commands, which import them when they run.
+        heavy = {"dataclasses", "inspect", "json", "crossmap.oeis", "crossmap.diagram"}
+        added = _loaded_modules("import crossmap.cli") - _loaded_modules("pass")
+        assert "crossmap.cli" in added
+        assert heavy & added == set()

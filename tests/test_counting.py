@@ -21,10 +21,28 @@ from crossmap.counting import (
 from crossmap.errors import InvalidK, Overflow, OutOfBudget, OutOfRange
 from crossmap.arcs import CLASSICAL, ENHANCED, arcs_classical, arcs_enhanced
 from crossmap.crossings import max_crossing_number, max_nesting_number
+from crossmap.oeis import bundled
 from crossmap.partition import enumerate_full, enumerate_partial, parse_text
 
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
+
+#: The walk's counts on [20] for k = 1..8, taken from the unpruned walk that
+#: rebuilt every step; Bell(20) items are too many to enumerate.
+WALK_AT_CAP = {
+    "C": [
+        1, 6564120420, 6123822269373, 36544023687590, 50193986895328,
+        51665915664913, 51723290618772, 51724153679062,
+    ],
+    "E": [
+        0, 50852019, 1705548000296, 26898763482122, 47950929125540,
+        51505026270176, 51718812364549, 51724106292307,
+    ],
+    "partial_E": [
+        1, 24466267020, 40877248201308, 309088822019071, 455436027242590,
+        473990899143781, 474853429890994, 474869697851972,
+    ],
+}
 
 
 class TestBinomial:
@@ -136,6 +154,19 @@ class TestWalk:
         assert count_E(2, 20, budget=20) == 50852019
         with pytest.raises(OutOfRange):
             count_partial_E(2, 21, budget=21)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_every_k_at_the_ground_set_cap(self, k):
+        assert count_C(k, 20, budget=20) == WALK_AT_CAP["C"][k - 1]
+        assert count_E(k, 20, budget=20) == WALK_AT_CAP["E"][k - 1]
+        assert count_partial_E(k, 20, budget=20) == WALK_AT_CAP["partial_E"][k - 1]
+
+    @pytest.mark.parametrize("oeis_id, enhanced", [("A108304", False), ("A108307", True)])
+    def test_reproduces_the_bundled_three_crossing_terms(self, oeis_id, enhanced):
+        ref = bundled(oeis_id)
+        assert len(ref.values) == 16
+        for n in range(16):
+            assert counting._walk(3, n, enhanced, False) == ref.value_at(n), n
 
     def test_parts_route_enumerates(self, monkeypatch):
         monkeypatch.setattr(counting, "_walk", _no_walk)
