@@ -10,12 +10,13 @@ Both directions run in O(n) on a label-array core: they fill ``succ[x]``,
 the next element of x's block in the result (x itself at a block's end, 0
 when x is absent), and label each chain from its smallest element.  The
 public maps check their input and pass the core's labels through the
-validating ``PartialPartition`` constructor; ``_reverse_labels`` serves
-callers that hold label arrays of full partitions already.
+validating ``PartialPartition`` constructor.  ``_reverse_keys`` serves
+``bell-check``: one depth-first search over all partitions of [m] keeps the
+predecessor form of each reverse image up to date as it goes.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .arcs import Arc, CLASSICAL, ENHANCED
 from .crossings import CrossingWitness
@@ -62,6 +63,51 @@ def _reverse_labels(labels: Sequence[int]) -> tuple[int, ...]:
             succ[e - 1] = e - 1  # e-1's own successor, if any, comes later
         last[v] = e
     return _from_successors(succ, m - 1)
+
+
+def _reverse_keys(m: int, visit: Callable[[bytes], object]) -> int:
+    """Call ``visit`` on the predecessor form of the reverse image of every
+    partition of [m], m >= 1, and return how many were visited, Bell(m).
+
+    The form is that of ``partition._partial_keys``.  One depth-first search
+    places 2..m in turn (1 opens block 1) and keeps the image's form up to
+    date in O(1) per step.  Placing e after a, the last element of its
+    block so far, gives a -> e-1: e-1's byte becomes a (a loop when
+    a = e-1), and a, now present, opens its image block if nothing precedes
+    it there.  Each choice for e rewrites e-1's byte, and a's is reset on
+    the way back.
+    """
+    key = bytearray(m - 1)
+    last = [0, 1] + [0] * (m - 1)  # last[v]: the last element placed in block v
+    leaves = 0
+
+    def place(e: int, blocks: int) -> None:
+        nonlocal leaves
+        if e > m:
+            leaves += 1
+            visit(bytes(key))
+            return
+        i = e - 2  # the byte of image element e-1
+        for v in range(1, blocks + 1):
+            a = last[v]
+            key[i] = a
+            last[v] = e
+            if key[a - 1]:
+                place(e + 1, blocks)
+            else:
+                key[a - 1] = a
+                place(e + 1, blocks)
+                key[a - 1] = 0
+            last[v] = a
+        key[i] = 0  # e opens a block; e-1 stays absent unless it gets a follower
+        last[blocks + 1] = e
+        place(e + 1, blocks + 1)
+
+    place(2, 1)
+    # place refers to itself; dropping the name frees it (and what it holds)
+    # now rather than in a garbage-collector pass.
+    del place
+    return leaves
 
 
 def reverse(q: PartialPartition) -> PartialPartition:

@@ -12,9 +12,12 @@ return to the empty shape.  Exhaustive enumeration of all
 partitions is kept as the independent route: a count takes it when
 ``parts > 1``, and ``count_table`` (behind ``oeis-check``) always uses it,
 because the bundled A108304/A108307 snapshots come from the same walk.
-Enumerated counts, ``distribution_table`` and ``verify_eigensequence`` make
-one pass over the raw label arrays of ``_iter_labels`` and build no
-partition objects.  Both routes keep the budget cap (default n <= 12).
+Enumerated counts and ``distribution_table`` make one pass over the raw
+label arrays of ``_iter_labels``.  ``verify_eigensequence`` enumerates each
+side in one depth-first search that keeps every partition's predecessor
+form up to date (``bijection._reverse_keys``, ``partition._partial_keys``).
+None of them builds partition objects.  Both routes keep the budget cap
+(default n <= 12).
 """
 from __future__ import annotations
 
@@ -24,10 +27,10 @@ from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
 from .arcs import _arcs
-from .bijection import _reverse_labels
+from .bijection import _reverse_keys
 from .crossings import CROSSING, NESTING, _check_k, _find_crossing, _max_order
 from .errors import Overflow, OutOfBudget, OutOfRange
-from .partition import _check_n, _iter_labels
+from .partition import _check_n, _iter_labels, _partial_keys
 
 INT64_MAX = 2**63 - 1
 
@@ -264,18 +267,11 @@ def verify_eigensequence(n: int, budget: int = DEFAULT_BUDGET) -> IdentityReport
     lhs = bell(n + 1)
     terms, rhs = _binomial_transform(n, bell)
 
-    # The enumerator's arrays are valid partitions (the tests pin this), so
-    # they go to the label-array core unchecked.  Labels are at most MAX_N,
-    # so each image fits in bytes, which take far less memory than tuples.
-    enumerated = 0
-    images = set()
-    for labels in _iter_labels(n + 1, partial=False):
-        enumerated += 1
-        images.add(bytes(_reverse_labels(labels)))
-    partial_total = hits = 0
-    for labels in _iter_labels(n, partial=True):
-        partial_total += 1
-        hits += bytes(labels) in images
+    # Both sides compare predecessor forms, which are canonical, so set
+    # membership of the bytes is equality of partitions.
+    images: set[bytes] = set()
+    enumerated = _reverse_keys(n + 1, images.add)
+    partial_total, hits = _partial_keys(n, images.__contains__)
     routes = {
         "triangle": lhs == rhs,
         "enumeration": enumerated == lhs,

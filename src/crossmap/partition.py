@@ -8,7 +8,7 @@ lexicographically for deterministic enumeration (0 sorts before 1).
 """
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import DuplicateElement, EmptyBlock, NotFull, OutOfRange, ParseError
 
@@ -159,6 +159,46 @@ def _iter_labels(n: int, partial: bool) -> Iterator[list[int]]:
         if i < 0:
             return
         labels[i] += 1
+
+
+def _partial_keys(n: int, visit: Callable[[bytes], bool]) -> tuple[int, int]:
+    """Call ``visit`` on the predecessor form of every partition of a subset of [n].
+
+    The predecessor form gives each element x of [n] one byte: 0 when x is
+    absent, x when x opens its block, and otherwise the element just before
+    x in its block.  It is canonical, and n <= MAX_N fits a byte.  One
+    depth-first search places 1..n in turn and writes each element's byte
+    as it goes.  Returns how many partitions were visited, Bell(n+1), and
+    how many visits returned true.
+    """
+    key = bytearray(n)
+    last = [0] * (n + 2)  # last[v]: the last element placed in block v
+    total = hits = 0
+
+    def place(x: int, blocks: int) -> None:
+        nonlocal total, hits
+        if x > n:
+            total += 1
+            hits += visit(bytes(key))
+            return
+        i = x - 1
+        key[i] = 0  # x absent
+        place(x + 1, blocks)
+        for v in range(1, blocks + 1):
+            a = last[v]
+            key[i] = a
+            last[v] = x
+            place(x + 1, blocks)
+            last[v] = a
+        key[i] = x  # x opens a block
+        last[blocks + 1] = x
+        place(x + 1, blocks + 1)
+
+    place(1, 0)
+    # place refers to itself; dropping the name frees it (and what it holds)
+    # now rather than in a garbage-collector pass.
+    del place
+    return total, hits
 
 
 def enumerate_full(n: int) -> Iterator[PartialPartition]:

@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 
 import pytest
@@ -22,7 +23,8 @@ from crossmap.errors import InvalidK, Overflow, OutOfBudget, OutOfRange
 from crossmap.arcs import CLASSICAL, ENHANCED, arcs_classical, arcs_enhanced
 from crossmap.crossings import max_crossing_number, max_nesting_number
 from crossmap.oeis import bundled
-from crossmap.partition import enumerate_full, enumerate_partial, parse_text
+from crossmap.bijection import _reverse_keys, _reverse_labels
+from crossmap.partition import _partial_keys, enumerate_full, enumerate_partial, parse_text
 
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
@@ -237,37 +239,119 @@ class TestEigensequence:
         assert r.lhs == 4140 and r.holds
 
     def test_reverse_runs_once_per_partition(self, monkeypatch):
-        calls = []
-        real = counting._reverse_labels
+        calls, keys = [], []
+        real = counting._reverse_keys
 
-        def counted(labels):
-            calls.append(tuple(labels))
-            return real(labels)
+        def recorded(m, visit):
+            calls.append(m)
 
-        monkeypatch.setattr(counting, "_reverse_labels", counted)
+            def record(key):
+                keys.append(key)
+                visit(key)
+
+            return real(m, record)
+
+        monkeypatch.setattr(counting, "_reverse_keys", recorded)
         assert verify_eigensequence(6).holds
-        assert len(calls) == bell(7)
+        assert calls == [7]
+        assert len(keys) == len(set(keys)) == bell(7)
+
+    def test_enumeration_route_catches_a_missed_partition(self, monkeypatch):
+        real = counting._reverse_keys
+
+        def missing_one(m, visit):
+            keys = []
+            real(m, keys.append)
+            for key in keys[1:]:
+                visit(key)
+            return len(keys) - 1
+
+        monkeypatch.setattr(counting, "_reverse_keys", missing_one)
+        r = verify_eigensequence(6)
+        assert r.routes == {"triangle": True, "enumeration": False, "bijection": False}
+        assert not r.holds
 
     def test_bijection_route_catches_a_non_injective_map(self, monkeypatch):
-        constant = parse_text("6:1/2/3/4/5/6").labels
-        monkeypatch.setattr(counting, "_reverse_labels", lambda labels: constant)
+        constant = pred_form(parse_text("6:1/2/3/4/5/6").labels)
+        real = counting._reverse_keys
+        monkeypatch.setattr(
+            counting, "_reverse_keys", lambda m, visit: real(m, lambda key: visit(constant))
+        )
         r = verify_eigensequence(6)
         assert r.routes == {"triangle": True, "enumeration": True, "bijection": False}
         assert not r.holds
 
     def test_bijection_route_catches_images_outside_the_partial_set(self, monkeypatch):
         # Injective, so as many distinct images as partitions, but none of
-        # them is a partition of a subset of [6].
-        monkeypatch.setattr(counting, "_reverse_labels", lambda labels: tuple(labels))
+        # them is a partition of a subset of [6]: q's own key has 7 bytes.
+        def own_keys(m, visit):
+            qs = list(enumerate_full(m))
+            for q in qs:
+                visit(pred_form(q.labels))
+            return len(qs)
+
+        monkeypatch.setattr(counting, "_reverse_keys", own_keys)
         r = verify_eigensequence(6)
         assert r.routes == {"triangle": True, "enumeration": True, "bijection": False}
         assert not r.holds
+
+    def test_leaves_no_cyclic_garbage(self):
+        # Both searches recurse through closures that refer to themselves.
+        # Kept alive, they would hold the image set until a collector pass.
+        gc.collect()
+        gc.disable()
+        try:
+            verify_eigensequence(7)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_out_of_range_n(self):
         with pytest.raises(OutOfRange):
             verify_eigensequence(-1)
         with pytest.raises(OutOfRange):
             verify_eigensequence(20, budget=20)
+
+
+def pred_form(labels):
+    """The predecessor form of a label array, written out from its definition."""
+    key = [0] * len(labels)
+    last = {}
+    for x, v in enumerate(labels, start=1):
+        if v:
+            key[x - 1] = last.get(v, x)
+            last[v] = x
+    return bytes(key)
+
+
+class TestPredecessorForms:
+    def test_paper_example(self):
+        # 9:1,4,7,9/2,5/3/6, element 8 absent
+        assert pred_form(parse_text("9:1,4,7,9/2,5/3/6").labels) == bytes([1, 2, 3, 1, 2, 6, 4, 0, 7])
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_reverse_keys_are_the_forms_of_the_reverse_images(self, m):
+        keys = []
+        assert _reverse_keys(m, keys.append) == len(keys) == bell(m)
+        want = [pred_form(_reverse_labels(q.labels)) for q in enumerate_full(m)]
+        assert sorted(keys) == sorted(want)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_partial_keys_are_the_forms_of_enumerate_partial(self, n):
+        keys = []
+
+        def record(key):
+            keys.append(key)
+            return True
+
+        assert _partial_keys(n, record) == (len(keys), len(keys))
+        assert len(keys) == len(set(keys)) == bell(n + 1)
+        assert sorted(keys) == sorted(pred_form(p.labels) for p in enumerate_partial(n))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_partial_keys_count_only_true_visits(self, n):
+        # Leaving out element 1 leaves the partitions of subsets of [2..n].
+        assert _partial_keys(n, lambda key: key[0] == 0) == (bell(n + 1), bell(n))
 
 
 class TestDistribution:
