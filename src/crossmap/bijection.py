@@ -12,7 +12,7 @@ when x is absent), and label each chain from its smallest element.  The
 public maps check their input and pass the core's labels through the
 validating ``PartialPartition`` constructor.  ``_reverse_keys`` serves
 ``bell-check``: one depth-first search over all partitions of [m] keeps the
-predecessor form of each reverse image up to date as it goes.
+integer code of each reverse image's predecessor form up to date as it goes.
 """
 from __future__ import annotations
 
@@ -65,45 +65,46 @@ def _reverse_labels(labels: Sequence[int]) -> tuple[int, ...]:
     return _from_successors(succ, m - 1)
 
 
-def _reverse_keys(m: int, visit: Callable[[bytes], object]) -> int:
-    """Call ``visit`` on the predecessor form of the reverse image of every
-    partition of [m], m >= 1, and return how many were visited, Bell(m).
+def _reverse_keys(m: int, visit: Callable[[int], object]) -> int:
+    """Call ``visit`` on the code of the reverse image of every partition of
+    [m], m >= 1, and return how many were visited, Bell(m).
 
-    The form is that of ``partition._partial_keys``.  One depth-first search
-    places 2..m in turn (1 opens block 1) and keeps the image's form up to
-    date in O(1) per step.  Placing e after a, the last element of its
-    block so far, gives a -> e-1: e-1's byte becomes a (a loop when
-    a = e-1), and a, now present, opens its image block if nothing precedes
-    it there.  Each choice for e rewrites e-1's byte, and a's is reset on
-    the way back.
+    The code is that of ``partition._partial_keys``, in [0, m!).  One
+    depth-first search places 2..m in turn (1 opens block 1) and passes the
+    image's code down, so backtracking undoes it for free.  Placing e after
+    a, the last element of its block so far, gives a -> e-1: e-1's value
+    becomes a (a loop when a = e-1), adding a * (e-1)!.  If a + 1 opened a
+    block, a was absent from the image and now opens an image block,
+    adding a * a!.
     """
-    key = bytearray(m - 1)
+    fact = [1] * m  # fact[i] = i!
+    for i in range(2, m):
+        fact[i] = fact[i - 1] * i
     last = [0, 1] + [0] * (m - 1)  # last[v]: the last element placed in block v
+    opened = [False] * (m + 1)  # opened[e]: e opened a block on the current path
     leaves = 0
 
-    def place(e: int, blocks: int) -> None:
+    def place(e: int, blocks: int, code: int) -> None:
         nonlocal leaves
         if e > m:
             leaves += 1
-            visit(bytes(key))
+            visit(code)
             return
-        i = e - 2  # the byte of image element e-1
+        f = fact[e - 1]
+        opened[e] = False
         for v in range(1, blocks + 1):
             a = last[v]
-            key[i] = a
             last[v] = e
-            if key[a - 1]:
-                place(e + 1, blocks)
+            if opened[a + 1]:
+                place(e + 1, blocks, code + a * (f + fact[a]))
             else:
-                key[a - 1] = a
-                place(e + 1, blocks)
-                key[a - 1] = 0
+                place(e + 1, blocks, code + a * f)
             last[v] = a
-        key[i] = 0  # e opens a block; e-1 stays absent unless it gets a follower
+        opened[e] = True  # e-1 stays absent unless it gets a follower
         last[blocks + 1] = e
-        place(e + 1, blocks + 1)
+        place(e + 1, blocks + 1, code)
 
-    place(2, 1)
+    place(2, 1, 0)
     # place refers to itself; dropping the name frees it (and what it holds)
     # now rather than in a garbage-collector pass.
     del place

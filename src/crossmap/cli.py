@@ -161,6 +161,10 @@ def _cmd_oeis_check(args) -> int:
 def _cmd_bell_check(args) -> int:
     _at_least("--n-max", args.n_max, 0)
     _at_least("--budget", args.budget, 0)
+    # Every n passes its checks before any runs, so a bad n_max fails at
+    # once, with the error the first bad n raises.
+    for n in range(args.n_max + 1):
+        counting._check_eigensequence(n, args.budget)
     ok = True
     for n in range(args.n_max + 1):
         r = counting.verify_eigensequence(n, budget=args.budget)

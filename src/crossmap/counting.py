@@ -14,9 +14,10 @@ partitions is kept as the independent route: a count takes it when
 because the bundled A108304/A108307 snapshots come from the same walk.
 Enumerated counts and ``distribution_table`` make one pass over the raw
 label arrays of ``_iter_labels``.  ``verify_eigensequence`` enumerates each
-side in one depth-first search that keeps every partition's predecessor
-form up to date (``bijection._reverse_keys``, ``partition._partial_keys``).
-None of them builds partition objects.  Both routes keep the budget cap
+side in one depth-first search that keeps the integer code of every
+partition's predecessor form up to date (``bijection._reverse_keys``,
+``partition._partial_keys``) and marks the images in a bitmap of
+(n+1)!/8 bytes.  None of them builds partition objects.  Both routes keep the budget cap
 (default n <= 12).
 """
 from __future__ import annotations
@@ -251,31 +252,48 @@ def verify_identity(k: int, n: int, budget: int = DEFAULT_BUDGET) -> IdentityRep
     return IdentityReport(k, n, lhs, terms, rhs, holds, rhs_direct=rhs_direct)
 
 
+def _check_eigensequence(n: int, budget: int) -> None:
+    """The checks ``verify_eigensequence(n, budget)`` makes before any work."""
+    if n > budget:
+        raise OutOfBudget(f"n={n} exceeds the enumeration budget {budget}")
+    if n < 0:
+        raise OutOfRange(f"n must be >= 0, got {n}")
+    _check_n(n + 1)
+
+
 def verify_eigensequence(n: int, budget: int = DEFAULT_BUDGET) -> IdentityReport:
     """Check the Bell-number fixed point of the binomial transform, three ways.
 
     Routes: the Bell-triangle recurrence, direct enumeration of partitions
     of [n+1], and the reverse map, whose images over all partitions of
     [n+1] must be pairwise distinct and, compared as a set, equal to the
-    enumerated partitions of subsets of [n].
+    enumerated partitions of subsets of [n].  The set is a bitmap over the
+    images' integer codes, (n+1)!/8 bytes: 454 KB at n = 9, 60 MB at
+    n = 11 and 778 MB at n = 12, the default budget.
     """
-    if n > budget:
-        raise OutOfBudget(f"n={n} exceeds the enumeration budget {budget}")
-    if n < 0:
-        raise OutOfRange(f"n must be >= 0, got {n}")
-    _check_n(n + 1)
+    _check_eigensequence(n, budget)
     lhs = bell(n + 1)
     terms, rhs = _binomial_transform(n, bell)
 
-    # Both sides compare predecessor forms, which are canonical, so set
-    # membership of the bytes is equality of partitions.
-    images: set[bytes] = set()
-    enumerated = _reverse_keys(n + 1, images.add)
-    partial_total, hits = _partial_keys(n, images.__contains__)
+    # Both sides visit the codes of predecessor forms, which are canonical,
+    # so one bit per code in [0, (n+1)!) marks the set of images.
+    seen = bytearray((math.factorial(n + 1) + 7) // 8)
+    repeats = 0
+
+    def mark(code: int) -> None:
+        nonlocal repeats
+        i = code >> 3
+        bit = 1 << (code & 7)
+        if seen[i] & bit:
+            repeats += 1
+        seen[i] |= bit
+
+    enumerated = _reverse_keys(n + 1, mark)
+    partial_total, hits = _partial_keys(n, lambda code: seen[code >> 3] >> (code & 7) & 1)
     routes = {
         "triangle": lhs == rhs,
         "enumeration": enumerated == lhs,
-        "bijection": len(images) == lhs == partial_total == hits,
+        "bijection": repeats == 0 and enumerated == lhs == partial_total == hits,
     }
     return IdentityReport(
         None, n, lhs, terms, rhs, all(routes.values()), routes=routes

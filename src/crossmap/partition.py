@@ -161,40 +161,40 @@ def _iter_labels(n: int, partial: bool) -> Iterator[list[int]]:
         labels[i] += 1
 
 
-def _partial_keys(n: int, visit: Callable[[bytes], bool]) -> tuple[int, int]:
-    """Call ``visit`` on the predecessor form of every partition of a subset of [n].
+def _partial_keys(n: int, visit: Callable[[int], int]) -> tuple[int, int]:
+    """Call ``visit`` on the code of every partition of a subset of [n].
 
-    The predecessor form gives each element x of [n] one byte: 0 when x is
-    absent, x when x opens its block, and otherwise the element just before
-    x in its block.  It is canonical, and n <= MAX_N fits a byte.  One
-    depth-first search places 1..n in turn and writes each element's byte
-    as it goes.  Returns how many partitions were visited, Bell(n+1), and
-    how many visits returned true.
+    The predecessor form gives each element x of [n] a value v_x: 0 when x
+    is absent, x when x opens its block, and otherwise the element just
+    before x in its block.  It is canonical, and since 0 <= v_x <= x, the
+    code sum(v_x * x!) maps the forms one to one onto [0, (n+1)!): a
+    bitmap of (n+1)!/8 bytes holds any set of them.  One depth-first
+    search places 1..n in turn and passes the code down.  Returns how many
+    partitions were visited, Bell(n+1), and how many visits returned true.
     """
-    key = bytearray(n)
+    fact = [1] * (n + 1)  # fact[x] = x!
+    for x in range(2, n + 1):
+        fact[x] = fact[x - 1] * x
     last = [0] * (n + 2)  # last[v]: the last element placed in block v
     total = hits = 0
 
-    def place(x: int, blocks: int) -> None:
+    def place(x: int, blocks: int, code: int) -> None:
         nonlocal total, hits
         if x > n:
             total += 1
-            hits += visit(bytes(key))
+            hits += visit(code)
             return
-        i = x - 1
-        key[i] = 0  # x absent
-        place(x + 1, blocks)
+        f = fact[x]
+        place(x + 1, blocks, code)  # x absent
         for v in range(1, blocks + 1):
             a = last[v]
-            key[i] = a
             last[v] = x
-            place(x + 1, blocks)
+            place(x + 1, blocks, code + a * f)
             last[v] = a
-        key[i] = x  # x opens a block
         last[blocks + 1] = x
-        place(x + 1, blocks + 1)
+        place(x + 1, blocks + 1, code + x * f)  # x opens a block
 
-    place(1, 0)
+    place(1, 0, 0)
     # place refers to itself; dropping the name frees it (and what it holds)
     # now rather than in a garbage-collector pass.
     del place

@@ -301,6 +301,24 @@ class TestBellCheck:
         assert all(l.endswith("OK") for l in lines)
         assert "triangle=OK enumeration=OK bijection=OK" in lines[-1]
 
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["--n-max", "13"], 3, "error: n=13 exceeds the enumeration budget 12\n"),
+            (["--n-max", "5", "--budget", "3"], 3, "error: n=4 exceeds the enumeration budget 3\n"),
+            (["--n-max", "20", "--budget", "25"], 2, "error: n must be in 0..20, got 21\n"),
+        ],
+        ids=["default-budget", "budget", "ground-set-cap"],
+    )
+    def test_n_max_checked_before_running(self, capsys, monkeypatch, argv, code, err):
+        # Running every n below the bad one first would take minutes and,
+        # at n = 12, a 778 MB bitmap; the checks come first.
+        def boom(*args, **kwargs):
+            raise AssertionError("ran before every n was checked")
+
+        monkeypatch.setattr(counting, "verify_eigensequence", boom)
+        assert run(capsys, "bell-check", *argv) == (code, "", err)
+
 
 class TestFlagRanges:
     @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
 import gc
+import math
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -272,7 +274,7 @@ class TestEigensequence:
         assert not r.holds
 
     def test_bijection_route_catches_a_non_injective_map(self, monkeypatch):
-        constant = pred_form(parse_text("6:1/2/3/4/5/6").labels)
+        constant = form_code(parse_text("6:1/2/3/4/5/6").labels)
         real = counting._reverse_keys
         monkeypatch.setattr(
             counting, "_reverse_keys", lambda m, visit: real(m, lambda key: visit(constant))
@@ -282,22 +284,33 @@ class TestEigensequence:
         assert not r.holds
 
     def test_bijection_route_catches_images_outside_the_partial_set(self, monkeypatch):
-        # Injective, so as many distinct images as partitions, but none of
-        # them is a partition of a subset of [6]: q's own key has 7 bytes.
+        # Injective, so as many distinct images as partitions, but some of
+        # them code no partition of a subset of [6]: code 2 gives element 2
+        # the predecessor 1 while 1 is absent.
         def own_keys(m, visit):
-            qs = list(enumerate_full(m))
-            for q in qs:
-                visit(pred_form(q.labels))
-            return len(qs)
+            for code in range(bell(m)):
+                visit(code)
+            return bell(m)
 
         monkeypatch.setattr(counting, "_reverse_keys", own_keys)
         r = verify_eigensequence(6)
         assert r.routes == {"triangle": True, "enumeration": True, "bijection": False}
         assert not r.holds
 
+    def test_peak_memory_is_the_bitmap(self):
+        # The image bitmap of n = 9 takes 10!/8 bytes, about 454 KB.
+        tracemalloc.start()
+        try:
+            for n in range(10):
+                verify_eigensequence(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
     def test_leaves_no_cyclic_garbage(self):
         # Both searches recurse through closures that refer to themselves.
-        # Kept alive, they would hold the image set until a collector pass.
+        # Kept alive, they would hold the image bitmap until a collector pass.
         gc.collect()
         gc.disable()
         try:
@@ -324,16 +337,23 @@ def pred_form(labels):
     return bytes(key)
 
 
+def form_code(labels):
+    """The integer code of the predecessor form: sum of v_x * x!."""
+    return sum(v * math.factorial(x) for x, v in enumerate(pred_form(labels), start=1))
+
+
 class TestPredecessorForms:
     def test_paper_example(self):
         # 9:1,4,7,9/2,5/3/6, element 8 absent
-        assert pred_form(parse_text("9:1,4,7,9/2,5/3/6").labels) == bytes([1, 2, 3, 1, 2, 6, 4, 0, 7])
+        labels = parse_text("9:1,4,7,9/2,5/3/6").labels
+        assert pred_form(labels) == bytes([1, 2, 3, 1, 2, 6, 4, 0, 7])
+        assert form_code(labels) == 1 + 2 * 2 + 3 * 6 + 1 * 24 + 2 * 120 + 6 * 720 + 4 * 5040 + 7 * 362880
 
     @pytest.mark.parametrize("m", range(1, 10))
     def test_reverse_keys_are_the_forms_of_the_reverse_images(self, m):
         keys = []
         assert _reverse_keys(m, keys.append) == len(keys) == bell(m)
-        want = [pred_form(_reverse_labels(q.labels)) for q in enumerate_full(m)]
+        want = [form_code(_reverse_labels(q.labels)) for q in enumerate_full(m)]
         assert sorted(keys) == sorted(want)
 
     @pytest.mark.parametrize("n", range(9))
@@ -346,12 +366,22 @@ class TestPredecessorForms:
 
         assert _partial_keys(n, record) == (len(keys), len(keys))
         assert len(keys) == len(set(keys)) == bell(n + 1)
-        assert sorted(keys) == sorted(pred_form(p.labels) for p in enumerate_partial(n))
+        assert sorted(keys) == sorted(form_code(p.labels) for p in enumerate_partial(n))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_partial_keys_count_only_true_visits(self, n):
-        # Leaving out element 1 leaves the partitions of subsets of [2..n].
-        assert _partial_keys(n, lambda key: key[0] == 0) == (bell(n + 1), bell(n))
+        # Leaving out element 1 leaves the partitions of subsets of [2..n];
+        # x! is even for x >= 2, so the code is even exactly then.
+        assert _partial_keys(n, lambda code: code % 2 == 0) == (bell(n + 1), bell(n))
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_codes_index_the_bitmap(self, n):
+        # verify_eigensequence(n) marks and tests bits 0..(n+1)! - 1 only.
+        size = math.factorial(n + 1)
+        for search in (lambda visit: _reverse_keys(n + 1, visit), lambda visit: _partial_keys(n, visit)):
+            codes = []
+            search(lambda code: codes.append(code) or 0)
+            assert 0 <= min(codes) and max(codes) < size
 
 
 class TestDistribution:
