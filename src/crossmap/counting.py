@@ -17,8 +17,8 @@ label arrays of ``_iter_labels``.  ``verify_eigensequence`` enumerates each
 side in one depth-first search that keeps the integer code of every
 partition's predecessor form up to date (``bijection._reverse_keys``,
 ``partition._partial_keys``) and marks the images in a bitmap of
-(n+1)!/8 bytes.  None of them builds partition objects.  Both routes keep the budget cap
-(default n <= 12).
+(n+1)!/8 bytes.  None of them builds partition objects.  Both routes keep
+the budget cap (default n <= 12).
 """
 from __future__ import annotations
 

@@ -167,7 +167,7 @@ def _partial_keys(n: int, visit: Callable[[int], int]) -> tuple[int, int]:
     The predecessor form gives each element x of [n] a value v_x: 0 when x
     is absent, x when x opens its block, and otherwise the element just
     before x in its block.  It is canonical, and since 0 <= v_x <= x, the
-    code sum(v_x * x!) maps the forms one to one onto [0, (n+1)!): a
+    code sum(v_x * x!) maps the forms one to one into [0, (n+1)!): a
     bitmap of (n+1)!/8 bytes holds any set of them.  One depth-first
     search places 1..n in turn and passes the code down.  Returns how many
     partitions were visited, Bell(n+1), and how many visits returned true.
