@@ -12,11 +12,12 @@ when x is absent), and label each chain from its smallest element.  The
 public maps check their input and pass the core's labels through the
 validating ``PartialPartition`` constructor.  ``_reverse_keys`` serves
 ``bell-check``: one depth-first search over all partitions of [m] keeps the
-integer code of each reverse image's predecessor form up to date as it goes.
+integer code of each reverse image's predecessor form up to date as it goes
+and sets that code's bit in a bitmap.
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .arcs import Arc, CLASSICAL, ENHANCED
 from .crossings import CrossingWitness
@@ -65,9 +66,10 @@ def _reverse_labels(labels: Sequence[int]) -> tuple[int, ...]:
     return _from_successors(succ, m - 1)
 
 
-def _reverse_keys(m: int, visit: Callable[[int], object]) -> int:
-    """Call ``visit`` on the code of the reverse image of every partition of
-    [m], m >= 1, and return how many were visited, Bell(m).
+def _reverse_keys(m: int, seen: bytearray) -> int:
+    """Mark the reverse image of every partition of [m], m >= 1, in the
+    bitmap ``seen``, setting bit c & 7 of byte c >> 3 for its code c, and
+    return how many partitions were visited, Bell(m).
 
     The code is that of ``partition._partial_keys``, in [0, m!).  One
     depth-first search places 2..m in turn (1 opens block 1) and passes the
@@ -75,32 +77,37 @@ def _reverse_keys(m: int, visit: Callable[[int], object]) -> int:
     a, the last element of its block so far, gives a -> e-1: e-1's value
     becomes a (a loop when a = e-1), adding a * (e-1)!.  If a + 1 opened a
     block, a was absent from the image and now opens an image block,
-    adding a * a!.
+    adding a * a! more.  The node that places m marks all of its leaves in
+    one loop, with no call per leaf.
     """
     fact = [1] * m  # fact[i] = i!
     for i in range(2, m):
         fact[i] = fact[i - 1] * i
     last = [0, 1] + [0] * (m - 1)  # last[v]: the last element placed in block v
-    opened = [False] * (m + 1)  # opened[e]: e opened a block on the current path
+    gain = [0] * m  # gain[a]: a * a! while a + 1 opens a block on the current path, else 0
     leaves = 0
 
     def place(e: int, blocks: int, code: int) -> None:
         nonlocal leaves
-        if e > m:
+        if e > m:  # only for m = 1
             leaves += 1
-            visit(code)
+            seen[code >> 3] |= 1 << (code & 7)
             return
         f = fact[e - 1]
-        opened[e] = False
+        gain[e - 1] = 0
+        if e == m:
+            for a in last[1 : blocks + 1]:
+                c = code + a * f + gain[a]
+                seen[c >> 3] |= 1 << (c & 7)
+            seen[code >> 3] |= 1 << (code & 7)  # m opens a block
+            leaves += blocks + 1
+            return
         for v in range(1, blocks + 1):
             a = last[v]
             last[v] = e
-            if opened[a + 1]:
-                place(e + 1, blocks, code + a * (f + fact[a]))
-            else:
-                place(e + 1, blocks, code + a * f)
+            place(e + 1, blocks, code + a * f + gain[a])
             last[v] = a
-        opened[e] = True  # e-1 stays absent unless it gets a follower
+        gain[e - 1] = (e - 1) * f  # e-1 stays absent unless it gets a follower
         last[blocks + 1] = e
         place(e + 1, blocks + 1, code)
 

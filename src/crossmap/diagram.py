@@ -12,10 +12,9 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .arcs import Arc, _arcs
-from .bijection import forward
+from .arcs import _ARC, Arc, _arcs
 from .errors import OutOfRange
-from .partition import PartialPartition
+from .partition import MAX_N, PartialPartition
 
 SOURCE = "source"
 IMAGE = "image"
@@ -36,18 +35,25 @@ class ArcGeometry(NamedTuple):
 
 def render_strip_coordinates(p: PartialPartition) -> list[ArcGeometry]:
     """Tent polylines for the enhanced arcs of p and the classical arcs of
-    forward(p), in shared strip coordinates."""
+    forward(p), in shared strip coordinates.
+
+    The image arcs are the source's enhanced arcs (x, y) moved to (x, y+1),
+    which is the paper's statement, so forward(p) itself is never built.
+    """
+    if p.n == MAX_N:  # forward(p) would lie on [MAX_N + 1]
+        raise OutOfRange(f"ambient n must be in 0..{MAX_N}, got {p.n + 1}")
+    source = _arcs(p.labels, True)
     out = []
-    for a in _arcs(p.labels, True):
+    for a in source:
         x, y = a
         if x == y:
             pts = ((2 * x - 2, 1), (2 * x - 1, 2), (2 * x, 1))
         else:
             pts = ((2 * x - 1, 1), (x + y - 1, y - x + 1), (2 * y - 1, 1))
         out.append(ArcGeometry(SOURCE, a, pts))
-    for a in _arcs(forward(p).labels, False):
-        x, y = a
-        out.append(ArcGeometry(IMAGE, a, ((2 * x - 2, 0), (x + y - 2, y - x), (2 * y - 2, 0))))
+    for x, y in source:
+        pts = ((2 * x - 2, 0), (x + y - 1, y - x + 1), (2 * y, 0))
+        out.append(ArcGeometry(IMAGE, _ARC[x][y + 1], pts))
     return out
 
 

@@ -241,44 +241,55 @@ class TestEigensequence:
         assert r.lhs == 4140 and r.holds
 
     def test_reverse_runs_once_per_partition(self, monkeypatch):
-        calls, keys = [], []
+        calls = []
         real = counting._reverse_keys
 
-        def recorded(m, visit):
+        def recorded(m, seen):
             calls.append(m)
-
-            def record(key):
-                keys.append(key)
-                visit(key)
-
-            return real(m, record)
+            count = real(m, seen)
+            # Distinct images: as many bits set as partitions visited.
+            assert popcount(seen) == count == bell(m)
+            return count
 
         monkeypatch.setattr(counting, "_reverse_keys", recorded)
         assert verify_eigensequence(6).holds
         assert calls == [7]
-        assert len(keys) == len(set(keys)) == bell(7)
 
     def test_enumeration_route_catches_a_missed_partition(self, monkeypatch):
         real = counting._reverse_keys
+        first = form_code(_reverse_labels(next(enumerate_full(7)).labels))
 
-        def missing_one(m, visit):
-            keys = []
-            real(m, keys.append)
-            for key in keys[1:]:
-                visit(key)
-            return len(keys) - 1
+        def skips_its_leaf(m, seen):
+            count = real(m, seen)
+            clear(seen, first)
+            return count - 1
 
-        monkeypatch.setattr(counting, "_reverse_keys", missing_one)
+        def visits_but_marks_nothing(m, seen):
+            count = real(m, seen)
+            clear(seen, first)
+            return count
+
+        monkeypatch.setattr(counting, "_reverse_keys", skips_its_leaf)
         r = verify_eigensequence(6)
         assert r.routes == {"triangle": True, "enumeration": False, "bijection": False}
+        assert not r.holds
+        # A leaf counted but left unmarked is caught by the partial side alone.
+        monkeypatch.setattr(counting, "_reverse_keys", visits_but_marks_nothing)
+        r = verify_eigensequence(6)
+        assert r.routes == {"triangle": True, "enumeration": True, "bijection": False}
         assert not r.holds
 
     def test_bijection_route_catches_a_non_injective_map(self, monkeypatch):
         constant = form_code(parse_text("6:1/2/3/4/5/6").labels)
         real = counting._reverse_keys
-        monkeypatch.setattr(
-            counting, "_reverse_keys", lambda m, visit: real(m, lambda key: visit(constant))
-        )
+
+        def constant_map(m, seen):
+            # Visit every partition, but mark only the one image.
+            count = real(m, bytearray(len(seen)))
+            mark(seen, constant)
+            return count
+
+        monkeypatch.setattr(counting, "_reverse_keys", constant_map)
         r = verify_eigensequence(6)
         assert r.routes == {"triangle": True, "enumeration": True, "bijection": False}
         assert not r.holds
@@ -287,9 +298,9 @@ class TestEigensequence:
         # Injective, so as many distinct images as partitions, but some of
         # them code no partition of a subset of [6]: code 2 gives element 2
         # the predecessor 1 while 1 is absent.
-        def own_keys(m, visit):
+        def own_keys(m, seen):
             for code in range(bell(m)):
-                visit(code)
+                mark(seen, code)
             return bell(m)
 
         monkeypatch.setattr(counting, "_reverse_keys", own_keys)
@@ -342,6 +353,31 @@ def form_code(labels):
     return sum(v * math.factorial(x) for x, v in enumerate(pred_form(labels), start=1))
 
 
+def mark(seen, code):
+    seen[code >> 3] |= 1 << (code & 7)
+
+
+def clear(seen, code):
+    seen[code >> 3] &= ~(1 << (code & 7))
+
+
+def bitmap(codes, size):
+    """A bitmap of ``size`` bytes with the bits of ``codes`` set."""
+    seen = bytearray(size)
+    for code in codes:
+        mark(seen, code)
+    return seen
+
+
+def set_bits(seen):
+    """The codes whose bits are set, in increasing order."""
+    return [8 * i + b for i, byte in enumerate(seen) if byte for b in range(8) if byte >> b & 1]
+
+
+def popcount(seen):
+    return int.from_bytes(seen, "little").bit_count()
+
+
 class TestPredecessorForms:
     def test_paper_example(self):
         # 9:1,4,7,9/2,5/3/6, element 8 absent
@@ -351,37 +387,44 @@ class TestPredecessorForms:
 
     @pytest.mark.parametrize("m", range(1, 10))
     def test_reverse_keys_are_the_forms_of_the_reverse_images(self, m):
-        keys = []
-        assert _reverse_keys(m, keys.append) == len(keys) == bell(m)
+        # m = 1 reaches the search's plain leaf: one visit, bit 0 alone.
+        seen = bytearray((math.factorial(m) + 7) // 8)
+        assert _reverse_keys(m, seen) == popcount(seen) == bell(m)
         want = [form_code(_reverse_labels(q.labels)) for q in enumerate_full(m)]
-        assert sorted(keys) == sorted(want)
+        assert set_bits(seen) == sorted(want)
 
     @pytest.mark.parametrize("n", range(9))
     def test_partial_keys_are_the_forms_of_enumerate_partial(self, n):
-        keys = []
-
-        def record(key):
-            keys.append(key)
-            return True
-
-        assert _partial_keys(n, record) == (len(keys), len(keys))
-        assert len(keys) == len(set(keys)) == bell(n + 1)
-        assert sorted(keys) == sorted(form_code(p.labels) for p in enumerate_partial(n))
+        # n = 0 reaches the search's plain leaf: one visit, code 0.
+        size = (math.factorial(n + 1) + 7) // 8
+        forms = [form_code(p.labels) for p in enumerate_partial(n)]
+        assert len(set(forms)) == bell(n + 1)
+        # Every visit finds its bit among the forms' bits ...
+        assert _partial_keys(n, bitmap(forms, size)) == (bell(n + 1), bell(n + 1))
+        if n <= 5:
+            # ... and each form is visited exactly once.
+            for code in forms:
+                assert _partial_keys(n, bitmap([code], size)) == (bell(n + 1), 1)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_partial_keys_count_only_true_visits(self, n):
         # Leaving out element 1 leaves the partitions of subsets of [2..n];
         # x! is even for x >= 2, so the code is even exactly then.
-        assert _partial_keys(n, lambda code: code % 2 == 0) == (bell(n + 1), bell(n))
+        evens = bytearray(b"\x55" * ((math.factorial(n + 1) + 7) // 8))
+        assert _partial_keys(n, evens) == (bell(n + 1), bell(n))
 
     @pytest.mark.parametrize("n", range(10))
     def test_codes_index_the_bitmap(self, n):
         # verify_eigensequence(n) marks and tests bits 0..(n+1)! - 1 only.
+        # A spare byte past the bitmap catches a code past the end, or one
+        # in -8..-1, which would wrap to the last byte.
         size = math.factorial(n + 1)
-        for search in (lambda visit: _reverse_keys(n + 1, visit), lambda visit: _partial_keys(n, visit)):
-            codes = []
-            search(lambda code: codes.append(code) or 0)
-            assert 0 <= min(codes) and max(codes) < size
+        nbytes = (size + 7) // 8 + 1
+        seen = bytearray(nbytes)
+        _reverse_keys(n + 1, seen)
+        assert int.from_bytes(seen, "little") >> size == 0
+        low = bytearray(((1 << size) - 1).to_bytes(nbytes, "little"))
+        assert _partial_keys(n, low) == (bell(n + 1), bell(n + 1))
 
 
 class TestDistribution:

@@ -3,14 +3,16 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from crossmap.arcs import Arc
+from crossmap.arcs import Arc, arcs_classical
+from crossmap.bijection import forward
+from crossmap.errors import OutOfRange
 from crossmap.diagram import (
     IMAGE,
     SOURCE,
     render_overlay,
     render_strip_coordinates,
 )
-from crossmap.partition import parse_text
+from crossmap.partition import MAX_N, enumerate_partial, from_blocks, parse_text
 
 PAPER_PI = "9:1,4,7,9/2,5/3/6"
 
@@ -50,14 +52,25 @@ class TestGeometry:
         assert render_strip_coordinates(parse_text("0:")) == []
 
     def test_shared_apex_exhaustive(self):
-        from crossmap.partition import enumerate_partial
-
         for p in enumerate_partial(5):
             geoms = render_strip_coordinates(p)
             img = {g.arc: g.apex for g in geoms if g.layer == IMAGE}
             for g in geoms:
                 if g.layer == SOURCE and not g.arc.is_loop:
                     assert g.apex == img[Arc(g.arc.left, g.arc.right + 1)]
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_image_layer_is_the_classical_arcs_of_forward(self, n):
+        # The image arcs are drawn from the source's enhanced arcs, shifted.
+        for p in enumerate_partial(n):
+            img = [g.arc for g in render_strip_coordinates(p) if g.layer == IMAGE]
+            assert tuple(img) == arcs_classical(forward(p)).arcs
+
+    def test_image_past_the_cap(self):
+        # forward of a partition on [MAX_N] would lie on [MAX_N + 1].
+        with pytest.raises(OutOfRange, match=f"ambient n must be in 0..{MAX_N}, got {MAX_N + 1}"):
+            render_strip_coordinates(from_blocks(MAX_N, [[1]]))
+        assert render_strip_coordinates(from_blocks(MAX_N - 1, [[MAX_N - 1]]))[-1].arc == (MAX_N - 1, MAX_N)
 
     def test_vertex_grid(self):
         # source vertex i sits between baseline vertices i and i+1, one unit up
@@ -107,8 +120,6 @@ class TestSvg:
 
     @pytest.mark.parametrize("scale, colors", list(SVG_DIGESTS))
     def test_bytes_match_snapshot(self, scale, colors):
-        from crossmap.partition import enumerate_partial
-
         digest = hashlib.sha256()
         for n in range(6):
             for p in enumerate_partial(n):
