@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .errors import OutOfRange
-from .partition import MAX_N, PartialPartition
+from .partition import PartialPartition
 
 CLASSICAL = "classical"
 ENHANCED = "enhanced"
@@ -82,11 +82,6 @@ class ArcSet:
         return len(self.arcs)
 
 
-#: ``_ARC[x][y]`` is Arc(x, y) for 1 <= x <= y <= MAX_N + 1, built once so
-#: that ``_arcs`` and the diagram's image arcs build no arc per call.
-_ARC = [[Arc(x, y) if 1 <= x <= y else None for y in range(MAX_N + 2)] for x in range(MAX_N + 2)]
-
-
 def _fill(a: ArcSet, mode: str, arcs: tuple[Arc, ...]) -> ArcSet:
     """Set a's fields unchecked: ``arcs_classical`` and ``arcs_enhanced``
     pass arcs that ``_arcs`` built sorted and valid.
@@ -110,12 +105,12 @@ def _arcs(labels: Iterable[int], enhanced: bool) -> list[Arc]:
         if v:
             prev = last.get(v)
             if prev is not None:
-                arcs.append(_ARC[prev][j])
+                arcs.append(Arc(prev, j))
             last[v] = j
     if enhanced:
         # A block's last element ends an arc unless the block is a singleton.
         rights = {r for _, r in arcs}
-        arcs += [_ARC[u][u] for u in last.values() if u not in rights]
+        arcs += [Arc(u, u) for u in last.values() if u not in rights]
     arcs.sort()
     return arcs
 

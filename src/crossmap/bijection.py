@@ -22,7 +22,7 @@ from typing import Sequence
 from .arcs import Arc, CLASSICAL, ENHANCED
 from .crossings import CrossingWitness
 from .errors import OutOfRange
-from .partition import PartialPartition, require_full
+from .partition import MAX_N, PartialPartition, require_full
 
 
 def _from_successors(succ: list[int], n: int) -> tuple[int, ...]:
@@ -40,9 +40,17 @@ def _from_successors(succ: list[int], n: int) -> tuple[int, ...]:
     return tuple(labels)
 
 
+def image_n(p: PartialPartition) -> int:
+    """The ambient n of forward(p), p.n + 1; OutOfRange when it passes MAX_N."""
+    if p.n == MAX_N:
+        raise OutOfRange(f"ambient n must be in 0..{MAX_N}, got {p.n + 1}")
+    return p.n + 1
+
+
 def forward(p: PartialPartition) -> PartialPartition:
     """Map a partition of a subset of [n] to a full partition of [n+1]."""
-    succ = list(range(p.n + 2))
+    n = image_n(p)
+    succ = list(range(n + 1))
     last = [0] * (p.num_blocks + 1)
     for e, v in enumerate(p.labels, start=1):
         if v:
@@ -50,7 +58,7 @@ def forward(p: PartialPartition) -> PartialPartition:
             # which stands only if u stays a singleton.
             succ[last[v] or e] = e + 1
             last[v] = e
-    return PartialPartition(p.n + 1, _from_successors(succ, p.n + 1))
+    return PartialPartition(n, _from_successors(succ, n))
 
 
 def _reverse_labels(labels: Sequence[int]) -> tuple[int, ...]:

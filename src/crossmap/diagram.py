@@ -12,9 +12,10 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .arcs import _ARC, Arc, _arcs
+from .arcs import Arc, _arcs
+from .bijection import image_n
 from .errors import OutOfRange
-from .partition import MAX_N, PartialPartition
+from .partition import PartialPartition
 
 SOURCE = "source"
 IMAGE = "image"
@@ -40,8 +41,7 @@ def render_strip_coordinates(p: PartialPartition) -> list[ArcGeometry]:
     The image arcs are the source's enhanced arcs (x, y) moved to (x, y+1),
     which is the paper's statement, so forward(p) itself is never built.
     """
-    if p.n == MAX_N:  # forward(p) would lie on [MAX_N + 1]
-        raise OutOfRange(f"ambient n must be in 0..{MAX_N}, got {p.n + 1}")
+    image_n(p)  # raises as forward(p) would when the image passes MAX_N
     source = _arcs(p.labels, True)
     out = []
     for a in source:
@@ -53,7 +53,7 @@ def render_strip_coordinates(p: PartialPartition) -> list[ArcGeometry]:
         out.append(ArcGeometry(SOURCE, a, pts))
     for x, y in source:
         pts = ((2 * x - 2, 0), (x + y - 1, y - x + 1), (2 * y, 0))
-        out.append(ArcGeometry(IMAGE, _ARC[x][y + 1], pts))
+        out.append(ArcGeometry(IMAGE, Arc(x, y + 1), pts))
     return out
 
 

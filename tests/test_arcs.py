@@ -1,7 +1,6 @@
 import pytest
 
 from crossmap.arcs import (
-    _ARC,
     Arc,
     ArcSet,
     CLASSICAL,
@@ -12,7 +11,7 @@ from crossmap.arcs import (
 )
 from crossmap.errors import OutOfRange
 from crossmap.counting import bell
-from crossmap.partition import MAX_N, enumerate_partial, from_blocks, parse_text
+from crossmap.partition import enumerate_partial, from_blocks, parse_text
 
 
 PAPER_PI = "9:1,4,7,9/2,5/3/6"
@@ -56,17 +55,6 @@ class TestEnhancedArcs:
             assert classical <= enhanced
             singletons = [b[0] for b in p.blocks() if len(b) == 1]
             assert enhanced - classical == {(u, u) for u in singletons}
-
-
-class TestArcTable:
-    def test_every_arc_up_to_the_image_cap(self):
-        for x in range(1, MAX_N + 2):
-            for y in range(x, MAX_N + 2):
-                assert type(_ARC[x][y]) is Arc and _ARC[x][y] == (x, y)
-
-    def test_arcs_at_the_cap(self):
-        p = from_blocks(MAX_N, [[1, MAX_N], [2]])
-        assert arcs_enhanced(p).arcs == ((1, MAX_N), (2, 2))
 
 
 class TestArcSetInvariants:
