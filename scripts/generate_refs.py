@@ -10,14 +10,14 @@ offset 0):
   A108304  3-noncrossing partitions, tableau walk
   A108307  enhanced 3-noncrossing partitions, tableau walk
 
-The tableau walk is crossmap.counting._walk, which counts closed walks on
-Young diagrams with at most k-1 rows.  It is also the route behind
-count_C and count_E, so the A108304 and A108307 snapshots are not
-independent of those functions; the package's enumeration route
-(_count_enum, used by count_table and oeis-check) is.  With k=2 the walk
-must reproduce Catalan and Motzkin; run with --check to re-verify it
-against enumeration for every n <= 12 (slow: about 2.5 minutes on a 2-CPU
-VM with Python 3.11).
+The tableau walk is crossmap.counting._walk, which counts closed walks of
+every length up to n on Young diagrams with at most k-1 rows, so one walk
+per sequence gives all its terms.  It is also the route behind count_C and
+count_E, so the A108304 and A108307 snapshots are not independent of those
+functions; the package's enumeration route (_count_enum, used by
+count_table and oeis-check) is.  With k=2 the walk must reproduce Catalan
+and Motzkin; run with --check to re-verify it against enumeration for
+every n <= 12 (slow: about 2.5 minutes on a 2-CPU VM with Python 3.11).
 """
 from __future__ import annotations
 
@@ -59,7 +59,7 @@ def bell(nmax: int) -> list[int]:
 
 
 def walk(k: int, enhanced: bool) -> list[int]:
-    return [_walk(k, n, enhanced, partial=False) for n in range(TERMS)]
+    return _walk(k, TERMS - 1, enhanced, partial=False)
 
 
 def write_bfile(oeis_id: str, values: list[int]) -> None:
@@ -79,9 +79,8 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    nmax = TERMS - 1
-    cat = catalan(nmax)
-    mot = motzkin(nmax)
+    cat = catalan(TERMS - 1)
+    mot = motzkin(TERMS - 1)
     c3 = walk(3, enhanced=False)
     e3 = walk(3, enhanced=True)
 

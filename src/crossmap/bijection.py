@@ -43,7 +43,9 @@ def _from_successors(succ: list[int], n: int) -> tuple[int, ...]:
 def image_n(p: PartialPartition) -> int:
     """The ambient n of forward(p), p.n + 1; OutOfRange when it passes MAX_N."""
     if p.n == MAX_N:
-        raise OutOfRange(f"ambient n must be in 0..{MAX_N}, got {p.n + 1}")
+        raise OutOfRange(
+            f"the image of a partition on [n] lies on [n+1], so n must be at most {MAX_N - 1}, got {p.n}"
+        )
     return p.n + 1
 
 

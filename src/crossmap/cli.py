@@ -68,10 +68,7 @@ def _cmd_count(args) -> int:
 def _cmd_verify_identity(args) -> int:
     _at_least("--n-max", args.n_max, 0)
     _at_least("--budget", args.budget, 0)
-    reports = [
-        counting.verify_identity(args.k, n, budget=args.budget)
-        for n in range(args.n_max + 1)
-    ]
+    reports = counting._identity_reports(args.k, args.n_max, args.budget)
     if args.json:
         import json
 

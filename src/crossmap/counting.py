@@ -7,11 +7,13 @@ it raises Overflow instead of wrapping.
 count by a polynomial walk over vacillating tableaux (Chen, Deng, Du,
 Stanley and Yan): a partition of [n] has no k-crossing exactly when its
 tableau never has more than k-1 rows.  The walk memoises each shape's
-steps and prunes shapes with more cells than steps left, which cannot
-return to the empty shape.  Exhaustive enumeration of all
-partitions is kept as the independent route: a count takes it when
-``parts > 1``, and ``count_table`` (behind ``oeis-check``) always uses it,
-because the bundled A108304/A108307 snapshots come from the same walk.
+steps and prunes shapes with more cells than steps left to n.  No closed
+walk of any length m <= n meets such a shape, so one walk to n gives the
+exact counts for every m <= n: ``verify-identity`` makes one walk per
+family per run.  Exhaustive enumeration of all partitions is kept as the
+independent route: a count takes it when ``parts > 1``, and
+``count_table`` (behind ``oeis-check``) always uses it, because the
+bundled A108304/A108307 snapshots come from the same walk.
 Enumerated counts and ``distribution_table`` make one pass over the raw
 label arrays of ``_iter_labels``.  ``verify_eigensequence`` enumerates each
 side in one depth-first search that keeps the integer code of every
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .arcs import _arcs
 from .bijection import _reverse_keys
@@ -139,17 +141,18 @@ def _steps(
     return [(sum(t), t) for t in targets]
 
 
-def _walk(k: int, n: int, enhanced: bool, partial: bool) -> int:
-    """Closed walks of length n on shapes with at most k-1 rows, one
-    ``_steps`` step per element of [n].
+def _walk(k: int, n: int, enhanced: bool, partial: bool) -> list[int]:
+    """Closed walks of each length m = 0..n on shapes with at most k-1 rows,
+    one ``_steps`` step per element of [m], as the column indexed by m.
 
     Each shape's steps are built once per walk.  A step removes at most one
-    cell, so a shape with more cells than steps left never returns to the
-    empty shape, and the walk drops it.
+    cell, so no closed walk of length m <= n meets a shape with more cells
+    than steps left to n, and the walk drops it: every entry is exact.
     """
     rows = k - 1
     steps: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
     states = {(): 1}
+    column = [1]
     for left in range(n - 1, -1, -1):
         nxt: dict[tuple[int, ...], int] = {}
         for shape, c in states.items():
@@ -160,7 +163,8 @@ def _walk(k: int, n: int, enhanced: bool, partial: bool) -> int:
                 if cells <= left:
                     nxt[t] = nxt.get(t, 0) + c
         states = nxt
-    return checked(states.get((), 0))
+        column.append(checked(states.get((), 0)))
+    return column
 
 
 def _count(k: int, n: int, enhanced: bool, partial: bool, parts: int) -> int:
@@ -168,7 +172,7 @@ def _count(k: int, n: int, enhanced: bool, partial: bool, parts: int) -> int:
     if parts < 1:
         raise OutOfRange(f"parts must be >= 1, got {parts}")
     if parts == 1:
-        return _walk(k, n, enhanced, partial)
+        return _walk(k, n, enhanced, partial)[n]
     return _count_enum(k, n, enhanced, partial)
 
 
@@ -214,28 +218,41 @@ class IdentityReport(NamedTuple):
     routes: Optional[dict] = None
 
     def to_json(self) -> dict:
-        obj = {
-            "k": self.k,
-            "n": self.n,
-            "lhs": self.lhs,
-            "rhs_terms": self.rhs_terms,
-            "rhs": self.rhs,
-            "holds": self.holds,
-        }
-        if self.rhs_direct is not None:
-            obj["rhs_direct"] = self.rhs_direct
-        if self.routes is not None:
-            obj["routes"] = self.routes
+        obj = self._asdict()
+        for key in ("rhs_direct", "routes"):
+            if obj[key] is None:
+                del obj[key]
         return obj
 
 
-def _binomial_transform(n: int, term: Callable[[int], int]) -> tuple[list[int], int]:
-    """The terms binomial(n, i) * term(i) for i = 0..n, and their sum.
+def _binomial_transform(column: list[int]) -> tuple[list[int], int]:
+    """The terms binomial(n, i) * column[i], n = len(column) - 1, and their sum.
 
     Every term is nonnegative, so checking the total checks each partial sum.
     """
-    terms = [checked(binomial(n, i) * term(i)) for i in range(n + 1)]
+    n = len(column) - 1
+    terms = [checked(binomial(n, i) * term) for i, term in enumerate(column)]
     return terms, checked(sum(terms))
+
+
+def _identity_reports(k: int, n_max: int, budget: int) -> list[IdentityReport]:
+    """``verify_identity(k, n, budget)`` for n = 0..n_max, from three walks.
+
+    Every n passes the checks its own call makes before any walk runs.
+    """
+    for n in range(n_max + 1):
+        _check_budget(k, n + 1, budget + 1)
+        _check_n(n + 1)
+    _check_budget(k, n_max, budget)
+    lhs = _walk(k, n_max + 1, enhanced=False, partial=False)
+    enhanced = _walk(k, n_max, enhanced=True, partial=False)
+    direct = _walk(k, n_max, enhanced=True, partial=True)
+    reports = []
+    for n in range(n_max + 1):
+        terms, rhs = _binomial_transform(enhanced[: n + 1])
+        holds = lhs[n + 1] == rhs == direct[n]
+        reports.append(IdentityReport(k, n, lhs[n + 1], terms, rhs, holds, rhs_direct=direct[n]))
+    return reports
 
 
 def verify_identity(k: int, n: int, budget: int = DEFAULT_BUDGET) -> IdentityReport:
@@ -246,11 +263,7 @@ def verify_identity(k: int, n: int, budget: int = DEFAULT_BUDGET) -> IdentityRep
     binomial sum over enhanced avoider counts, and a straight count of
     enhanced-avoiding partitions of subsets of [n].
     """
-    lhs = count_C(k, n + 1, budget=budget + 1)
-    terms, rhs = _binomial_transform(n, lambda i: count_E(k, i, budget=budget))
-    rhs_direct = count_partial_E(k, n, budget=budget)
-    holds = lhs == rhs == rhs_direct
-    return IdentityReport(k, n, lhs, terms, rhs, holds, rhs_direct=rhs_direct)
+    return _identity_reports(k, n, budget)[n]
 
 
 def _check_eigensequence(n: int, budget: int) -> None:
@@ -274,7 +287,7 @@ def verify_eigensequence(n: int, budget: int = DEFAULT_BUDGET) -> IdentityReport
     """
     _check_eigensequence(n, budget)
     lhs = bell(n + 1)
-    terms, rhs = _binomial_transform(n, bell)
+    terms, rhs = _binomial_transform([bell(i) for i in range(n + 1)])
 
     # Both sides reach the codes of predecessor forms, which are canonical,
     # so one bit per code in [0, (n+1)!) marks the set of images.  The

@@ -13,7 +13,6 @@ import pytest
 from crossmap import cli, counting, crossings
 from crossmap.bijection import forward
 from crossmap.cli import main
-from crossmap.counting import IdentityReport
 
 PAPER_PI = "9:1,4,7,9/2,5/3/6"
 PAPER_PI_HAT = "10:1,5/2,6,7,10/3,4,8/9"
@@ -140,12 +139,48 @@ class TestVerifyIdentity:
         assert (code, out) == (0, json.dumps(reports) + "\n")
 
     def test_injected_fault_exits_nonzero(self, capsys, monkeypatch):
-        def broken(k, n, budget=12):
-            return IdentityReport(k, n, lhs=1, rhs_terms=[2], rhs=2, holds=False)
+        real = counting._walk
 
-        monkeypatch.setattr(counting, "verify_identity", broken)
+        def broken(k, n, enhanced, partial):
+            column = real(k, n, enhanced, partial)
+            return [v + 1 for v in column] if partial else column
+
+        monkeypatch.setattr(counting, "_walk", broken)
         code, out, _ = run(capsys, "verify-identity", "--k", "2", "--n-max", "1")
         assert code == 1 and "FAIL" in out
+
+    def test_one_walk_per_family(self, capsys, monkeypatch):
+        calls = []
+        real = counting._walk
+
+        def recorded(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(counting, "_walk", recorded)
+        code, out, _ = run(capsys, "verify-identity", "--k", "8", "--n-max", "19", "--budget", "19")
+        assert code == 0 and len(out.splitlines()) == 20 and len(calls) == 3
+        calls.clear()
+        code, out, _ = run(capsys, "count", "--k", "8", "--n", "19", "--budget", "19", "--family", "E")
+        assert code == 0 and len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["--k", "3", "--n-max", "13"], 3, "error: n=14 exceeds the enumeration budget 13\n"),
+            (["--k", "3", "--n-max", "5", "--budget", "3"], 3, "error: n=5 exceeds the enumeration budget 4\n"),
+            (["--k", "3", "--n-max", "20", "--budget", "25"], 2, "error: n must be in 0..20, got 21\n"),
+            (["--k", "9", "--n-max", "2"], 2, "error: k is capped at 8, got 9\n"),
+        ],
+        ids=["default-budget", "budget", "ground-set-cap", "k-cap"],
+    )
+    def test_n_max_checked_before_walking(self, capsys, monkeypatch, argv, code, err):
+        # Every n passes the checks its own report makes before any walk runs.
+        def boom(*args, **kwargs):
+            raise AssertionError("walked before every n was checked")
+
+        monkeypatch.setattr(counting, "_walk", boom)
+        assert run(capsys, "verify-identity", *argv) == (code, "", err)
 
 
 class TestMap:
@@ -239,6 +274,13 @@ class TestRender:
     def test_ambient_n_over_cap_exit_2(self, capsys):
         code, out, err = run(capsys, "render", "--input", "21:1")
         assert (code, out, err) == (2, "", "error: ambient n must be in 0..20, got 21\n")
+
+    @pytest.mark.parametrize("command", ["render", "map"])
+    def test_image_past_the_cap_exit_2(self, capsys, command):
+        # The input on [20] is valid; its image would lie on [21].
+        assert run(capsys, command, "--input", "20:1") == (
+            2, "", "error: the image of a partition on [n] lies on [n+1], so n must be at most 19, got 20\n"
+        )
 
 
 class TestOeisCheck:

@@ -137,25 +137,37 @@ def _no_walk(*args):
 
 
 class TestWalk:
+    # One walk to 9 (8 for partial) gives every shorter length: its column
+    # must match enumeration entry by entry, as each count does.
     @pytest.mark.parametrize("k", range(1, 7))
     def test_classical_matches_enumeration(self, k):
+        column = counting._walk(k, 9, False, False)
         for n in range(10):
-            assert count_C(k, n) == _enumerated(k, n, enhanced=False), n
+            assert count_C(k, n) == column[n] == _enumerated(k, n, enhanced=False), n
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_enhanced_matches_enumeration(self, k):
+        column = counting._walk(k, 9, True, False)
         for n in range(10):
-            assert count_E(k, n) == _enumerated(k, n, enhanced=True), n
+            assert count_E(k, n) == column[n] == _enumerated(k, n, enhanced=True), n
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_partial_enhanced_matches_enumeration(self, k):
+        column = counting._walk(k, 8, True, True)
         for n in range(9):
-            assert count_partial_E(k, n) == _enumerated(k, n, enhanced=True, partial=True), n
+            assert count_partial_E(k, n) == column[n] == _enumerated(k, n, enhanced=True, partial=True), n
 
     def test_closed_forms_at_the_ground_set_cap(self):
         # Catalan(20) and Motzkin(20); Bell(20) items would take hours to enumerate
         assert count_C(2, 20, budget=20) == 6564120420
         assert count_E(2, 20, budget=20) == 50852019
+        # Each column to 20 is exact at every length.  Partial E on [n] is
+        # Catalan(n+1): the identity for k = 2.
+        catalan = [math.comb(2 * n, n) // (n + 1) for n in range(22)]
+        motzkin = [sum(math.comb(n, 2 * i) * catalan[i] for i in range(n // 2 + 1)) for n in range(21)]
+        assert counting._walk(2, 20, False, False) == catalan[:21]
+        assert counting._walk(2, 20, True, False) == motzkin
+        assert counting._walk(2, 20, True, True) == catalan[1:]
         with pytest.raises(OutOfRange):
             count_partial_E(2, 21, budget=21)
 
@@ -169,8 +181,7 @@ class TestWalk:
     def test_reproduces_the_bundled_three_crossing_terms(self, oeis_id, enhanced):
         ref = bundled(oeis_id)
         assert len(ref.values) == 16
-        for n in range(16):
-            assert counting._walk(3, n, enhanced, False) == ref.value_at(n), n
+        assert counting._walk(3, 15, enhanced, False) == list(ref.values)
 
     def test_parts_route_enumerates(self, monkeypatch):
         monkeypatch.setattr(counting, "_walk", _no_walk)
@@ -214,9 +225,21 @@ class TestIdentity:
                 assert r.holds and r.rhs == r.rhs_direct == r.lhs
 
     def test_direct_route_mismatch_fails(self, monkeypatch):
-        monkeypatch.setattr(counting, "count_partial_E", lambda k, n, budget: 0)
+        real = counting._walk
+
+        def broken(k, n, enhanced, partial):
+            column = real(k, n, enhanced, partial)
+            return [0] * len(column) if partial else column
+
+        monkeypatch.setattr(counting, "_walk", broken)
         r = verify_identity(3, 5)
         assert r.lhs == r.rhs == 202 and r.rhs_direct == 0 and not r.holds
+
+    def test_negative_n(self):
+        with pytest.raises(OutOfRange, match="^n must be >= 0, got -1$"):
+            verify_identity(3, -1)
+        with pytest.raises(InvalidK):
+            verify_identity(0, -1)
 
     def test_json_shape(self):
         obj = verify_identity(2, 3).to_json()

@@ -1,7 +1,10 @@
 import http.client
+import importlib.util
 import io
+import sys
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,46 @@ from crossmap.oeis import (
     fetch_bfile,
     parse_bfile,
 )
+
+
+GENERATE_REFS = Path(__file__).resolve().parents[1] / "scripts" / "generate_refs.py"
+
+
+@pytest.fixture
+def generate_refs(monkeypatch):
+    """scripts/generate_refs.py as a module; its sys.path insert is undone after."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("generate_refs", GENERATE_REFS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestGenerateRefs:
+    """The generator's sequences equal the snapshots it wrote; main is not run,
+    since it rewrites them."""
+
+    def test_walks_reproduce_the_snapshots(self, generate_refs, monkeypatch):
+        calls = []
+        real = generate_refs._walk
+
+        def recorded(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(generate_refs, "_walk", recorded)
+        assert generate_refs.walk(3, False) == list(bundled("A108304").values)
+        assert generate_refs.walk(3, True) == list(bundled("A108307").values)
+        assert len(calls) == 2
+
+    def test_closed_forms_reproduce_the_snapshots(self, generate_refs):
+        for oeis_id, sequence in (
+            ("A000108", generate_refs.catalan),
+            ("A001006", generate_refs.motzkin),
+            ("A000110", generate_refs.bell),
+        ):
+            values = list(bundled(oeis_id).values)
+            assert sequence(len(values) - 1) == values, oeis_id
 
 
 class TestBundled:
