@@ -15,7 +15,7 @@ from itertools import islice
 from . import counting
 from .arcs import CLASSICAL, ENHANCED, arcs_classical, arcs_enhanced
 from .bijection import forward, reverse, witness_forward
-from .crossings import CROSSING, NESTING, count_k_witnesses, find_k_crossing, find_k_nesting
+from .crossings import CROSSING, NESTING, _check_k, count_k_witnesses, find_k_crossing, find_k_nesting
 from .errors import (
     CrossmapError,
     NetworkError,
@@ -85,6 +85,8 @@ def _cmd_verify_identity(args) -> int:
 
 def _cmd_map(args) -> int:
     _at_least("--witnesses", args.witnesses, 0)
+    if args.witnesses:
+        _check_k(args.witnesses)
     p = parse_text(args.input)
     image = reverse(p) if args.reverse else forward(p)
     print(image.to_text())
@@ -124,8 +126,11 @@ def _cmd_render(args) -> int:
         image_color=args.image_color,
     )
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(svg)
+        except OSError as exc:
+            raise CrossmapError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(svg)
     return EXIT_OK
@@ -158,10 +163,7 @@ def _cmd_oeis_check(args) -> int:
 def _cmd_bell_check(args) -> int:
     _at_least("--n-max", args.n_max, 0)
     _at_least("--budget", args.budget, 0)
-    # Every n passes its checks before any runs, so a bad n_max fails at
-    # once, with the error the first bad n raises.
-    for n in range(args.n_max + 1):
-        counting._check_eigensequence(n, args.budget)
+    counting._check_upto(None, args.n_max, args.budget, shift=1)
     ok = True
     for n in range(args.n_max + 1):
         r = counting.verify_eigensequence(n, budget=args.budget)

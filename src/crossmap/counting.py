@@ -21,7 +21,9 @@ partition's predecessor form up to date over a bitmap of (n+1)!/8 bytes:
 ``bijection._reverse_keys`` sets the bit of each reverse image, and
 ``partition._partial_keys`` tests the bit of each partition of a subset.
 None of them builds partition objects, and the searches make no call per
-partition.  Both routes keep the budget cap (default n <= 12).
+partition.  Every run checks k, n, the budget (default n <= 12) and the
+ground set in one place, ``_check_budget``, before any work starts; its
+messages name the n and budget given, and a run on [n+1] accepts n <= 19.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from .arcs import _arcs
 from .bijection import _reverse_keys
 from .crossings import CROSSING, NESTING, _check_k, _find_crossing, _max_order
 from .errors import Overflow, OutOfBudget, OutOfRange
-from .partition import _check_n, _iter_labels, _partial_keys
+from .partition import MAX_N, _iter_labels, _partial_keys
 
 INT64_MAX = 2**63 - 1
 
@@ -81,12 +83,23 @@ def bell(n: int) -> int:
     return checked(_bell_triangle(n)[n][0])
 
 
-def _check_budget(k: int, n: int, budget: int) -> None:
-    _check_k(k)
+def _check_budget(k: Optional[int], n: int, budget: int, shift: int = 0) -> None:
+    """Check k (unless None), n >= 0, the budget, then the ground set [n + shift]."""
+    if k is not None:
+        _check_k(k)
     if n < 0:
         raise OutOfRange(f"n must be >= 0, got {n}")
     if n > budget:
         raise OutOfBudget(f"n={n} exceeds the enumeration budget {budget}")
+    if n + shift > MAX_N:
+        raise OutOfRange(f"n must be in 0..{MAX_N - shift}, got {n}")
+
+
+def _check_upto(k: Optional[int], n_max: int, budget: int, shift: int = 0) -> None:
+    """``_check_budget`` for each n up to n_max in turn, so a bad n_max fails
+    at once with the error of the first bad n (n_max itself when negative)."""
+    for n in range(min(n_max, 0), n_max + 1):
+        _check_budget(k, n, budget, shift)
 
 
 def _avoids(labels: list[int], k: int, enhanced: bool) -> bool:
@@ -167,8 +180,8 @@ def _walk(k: int, n: int, enhanced: bool, partial: bool) -> list[int]:
     return column
 
 
-def _count(k: int, n: int, enhanced: bool, partial: bool, parts: int) -> int:
-    _check_n(n)
+def _count(k: int, n: int, budget: int, enhanced: bool, partial: bool, parts: int) -> int:
+    _check_budget(k, n, budget)
     if parts < 1:
         raise OutOfRange(f"parts must be >= 1, got {parts}")
     if parts == 1:
@@ -183,26 +196,22 @@ def _count_enum(k: int, n: int, enhanced: bool, partial: bool) -> int:
 
 @lru_cache(maxsize=None)
 def _count_cached(k: int, n: int, enhanced: bool) -> int:
-    _check_n(n)
     return _count_enum(k, n, enhanced, partial=False)
 
 
 def count_C(k: int, n: int, parts: int = 1, budget: int = DEFAULT_BUDGET) -> int:
     """Partitions of [n] with no classical k-crossing."""
-    _check_budget(k, n, budget)
-    return _count(k, n, enhanced=False, partial=False, parts=parts)
+    return _count(k, n, budget, enhanced=False, partial=False, parts=parts)
 
 
 def count_E(k: int, n: int, parts: int = 1, budget: int = DEFAULT_BUDGET) -> int:
     """Partitions of [n] with no enhanced k-crossing."""
-    _check_budget(k, n, budget)
-    return _count(k, n, enhanced=True, partial=False, parts=parts)
+    return _count(k, n, budget, enhanced=True, partial=False, parts=parts)
 
 
 def count_partial_E(k: int, n: int, parts: int = 1, budget: int = DEFAULT_BUDGET) -> int:
     """Partitions of subsets of [n] with no enhanced k-crossing."""
-    _check_budget(k, n, budget)
-    return _count(k, n, enhanced=True, partial=True, parts=parts)
+    return _count(k, n, budget, enhanced=True, partial=True, parts=parts)
 
 
 class IdentityReport(NamedTuple):
@@ -240,10 +249,7 @@ def _identity_reports(k: int, n_max: int, budget: int) -> list[IdentityReport]:
 
     Every n passes the checks its own call makes before any walk runs.
     """
-    for n in range(n_max + 1):
-        _check_budget(k, n + 1, budget + 1)
-        _check_n(n + 1)
-    _check_budget(k, n_max, budget)
+    _check_upto(k, n_max, budget, shift=1)
     lhs = _walk(k, n_max + 1, enhanced=False, partial=False)
     enhanced = _walk(k, n_max, enhanced=True, partial=False)
     direct = _walk(k, n_max, enhanced=True, partial=True)
@@ -266,15 +272,6 @@ def verify_identity(k: int, n: int, budget: int = DEFAULT_BUDGET) -> IdentityRep
     return _identity_reports(k, n, budget)[n]
 
 
-def _check_eigensequence(n: int, budget: int) -> None:
-    """The checks ``verify_eigensequence(n, budget)`` makes before any work."""
-    if n > budget:
-        raise OutOfBudget(f"n={n} exceeds the enumeration budget {budget}")
-    if n < 0:
-        raise OutOfRange(f"n must be >= 0, got {n}")
-    _check_n(n + 1)
-
-
 def verify_eigensequence(n: int, budget: int = DEFAULT_BUDGET) -> IdentityReport:
     """Check the Bell-number fixed point of the binomial transform, three ways.
 
@@ -285,7 +282,7 @@ def verify_eigensequence(n: int, budget: int = DEFAULT_BUDGET) -> IdentityReport
     images' integer codes, (n+1)!/8 bytes: 454 KB at n = 9, 60 MB at
     n = 11 and 778 MB at n = 12, the default budget.
     """
-    _check_eigensequence(n, budget)
+    _check_budget(None, n, budget, shift=1)
     lhs = bell(n + 1)
     terms, rhs = _binomial_transform([bell(i) for i in range(n + 1)])
 
@@ -344,10 +341,7 @@ def _orders(n: int, partial: bool, enhanced: bool) -> dict[str, Counter]:
 
 
 def distribution_table(n: int, k_max: int, budget: int = 9) -> DistributionTable:
-    if n > budget:
-        raise OutOfBudget(f"n={n} exceeds the enumeration budget {budget}")
-    _check_n(n)
-    _check_n(n + 1)
+    _check_budget(None, n, budget, shift=1)
     if k_max < 0:
         raise OutOfRange(f"k_max must be >= 0, got {k_max}")
     part = _orders(n, partial=True, enhanced=True)
@@ -366,19 +360,9 @@ def count_table(family: str, k: Optional[int], n_max: int, budget: int = DEFAULT
     Counts come from enumeration, never from the walk, so comparing them
     with the walk-generated snapshots is an independent check.
     """
-    enumerated = family in (FAMILY_C, FAMILY_E)
-    if enumerated:
-        # Every n passes its checks before any is enumerated, so a bad n_max
-        # fails at once, with the error the first bad n raises.
-        for n in range(n_max + 1):
-            _check_budget(k, n, budget)
-            _check_n(n)
-    column = {}
-    for n in range(n_max + 1):
-        if family == FAMILY_BELL:
-            column[n] = bell(n)
-        elif enumerated:
-            column[n] = _count_cached(k, n, family == FAMILY_E)
-        else:
-            raise OutOfRange(f"unknown family {family!r}")
-    return column
+    if family == FAMILY_BELL:
+        return {n: bell(n) for n in range(n_max + 1)}
+    if family not in (FAMILY_C, FAMILY_E):
+        raise OutOfRange(f"unknown family {family!r}")
+    _check_upto(k, n_max, budget)
+    return {n: _count_cached(k, n, family == FAMILY_E) for n in range(n_max + 1)}

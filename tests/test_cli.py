@@ -167,12 +167,14 @@ class TestVerifyIdentity:
     @pytest.mark.parametrize(
         "argv, code, err",
         [
-            (["--k", "3", "--n-max", "13"], 3, "error: n=14 exceeds the enumeration budget 13\n"),
-            (["--k", "3", "--n-max", "5", "--budget", "3"], 3, "error: n=5 exceeds the enumeration budget 4\n"),
-            (["--k", "3", "--n-max", "20", "--budget", "25"], 2, "error: n must be in 0..20, got 21\n"),
+            (["--k", "3", "--n-max", "13"], 3, "error: n=13 exceeds the enumeration budget 12\n"),
+            (["--k", "3", "--n-max", "5", "--budget", "3"], 3, "error: n=4 exceeds the enumeration budget 3\n"),
+            (["--k", "3", "--n-max", "20", "--budget", "25"], 2, "error: n must be in 0..19, got 20\n"),
             (["--k", "9", "--n-max", "2"], 2, "error: k is capped at 8, got 9\n"),
+            (["--k", "3", "--n-max", "22", "--budget", "21"], 2, "error: n must be in 0..19, got 20\n"),
+            (["--k", "3", "--n-max", "21", "--budget", "15"], 3, "error: n=16 exceeds the enumeration budget 15\n"),
         ],
-        ids=["default-budget", "budget", "ground-set-cap", "k-cap"],
+        ids=["default-budget", "budget", "ground-set-cap", "k-cap", "ground-set-within-budget", "budget-within-ground-set"],
     )
     def test_n_max_checked_before_walking(self, capsys, monkeypatch, argv, code, err):
         # Every n passes the checks its own report makes before any walk runs.
@@ -218,15 +220,10 @@ class TestMap:
         assert code == 0 and out == PAPER_PI + "\n" + WITNESS_TABLE
 
     def test_witnesses_past_max_k_exit_2(self, capsys):
-        code, out, err = run(capsys, "map", "--input", PAPER_PI, "--witnesses", "9")
-        zero_rows = "".join(
-            f"k={k} {kind}: enhanced=0 classical=0\n"
-            for k in range(4, 9)
-            for kind in ("crossing", "nesting")
+        # K is checked before the image or any table row is printed.
+        assert run(capsys, "map", "--input", PAPER_PI, "--witnesses", "9") == (
+            2, "", "error: k is capped at 8, got 9\n"
         )
-        assert code == 2 and out == PAPER_PI_HAT + "\n" + WITNESS_TABLE + zero_rows
-        assert len(out.splitlines()) == 1 + 16
-        assert err == "error: k is capped at 8, got 9\n"
 
     def test_witness_table_searches_once_per_kind(self, capsys, monkeypatch):
         calls = []
@@ -270,6 +267,13 @@ class TestRender:
         code1, out1, _ = run(capsys, "render", "--input", "4:1,3/2,4")
         code2, out2, _ = run(capsys, "render", "--input", "4:1,3/2,4")
         assert code1 == code2 == 0 and out1 == out2
+
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "x.svg"
+        code, out, err = run(capsys, "render", "--input", "3:1,2", "--out", str(out_file))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {out_file}: ") and err.count("\n") == 1
+        assert not out_file.parent.exists()
 
     def test_ambient_n_over_cap_exit_2(self, capsys):
         code, out, err = run(capsys, "render", "--input", "21:1")
@@ -317,22 +321,21 @@ class TestOeisCheck:
         assert code == 0 and out == "OK (13 terms compared)\n"
 
     @pytest.mark.parametrize(
-        "budget, code, err",
+        "argv, code, err",
         [
-            ("25", 2, "error: n must be in 0..20, got 21\n"),
-            ("15", 3, "error: n=16 exceeds the enumeration budget 15\n"),
+            (["--n-max", "21", "--budget", "25"], 2, "error: n must be in 0..20, got 21\n"),
+            (["--n-max", "21", "--budget", "15"], 3, "error: n=16 exceeds the enumeration budget 15\n"),
+            (["--n-max", "22", "--budget", "21"], 2, "error: n must be in 0..20, got 21\n"),
         ],
-        ids=["ground-set-cap", "budget"],
+        ids=["ground-set-cap", "budget", "ground-set-within-budget"],
     )
-    def test_n_max_checked_before_enumerating(self, capsys, monkeypatch, budget, code, err):
+    def test_n_max_checked_before_enumerating(self, capsys, monkeypatch, argv, code, err):
         # Enumerating up to the bad n would take hours; the checks come first.
         def boom(*args):
             raise AssertionError("enumerated before every n was checked")
 
         monkeypatch.setattr(counting, "_count_cached", boom)
-        assert run(
-            capsys, "oeis-check", "--id", "A108304", "--n-max", "21", "--budget", budget
-        ) == (code, "", err)
+        assert run(capsys, "oeis-check", "--id", "A108304", *argv) == (code, "", err)
 
 
 class TestBellCheck:
@@ -348,9 +351,11 @@ class TestBellCheck:
         [
             (["--n-max", "13"], 3, "error: n=13 exceeds the enumeration budget 12\n"),
             (["--n-max", "5", "--budget", "3"], 3, "error: n=4 exceeds the enumeration budget 3\n"),
-            (["--n-max", "20", "--budget", "25"], 2, "error: n must be in 0..20, got 21\n"),
+            (["--n-max", "20", "--budget", "25"], 2, "error: n must be in 0..19, got 20\n"),
+            (["--n-max", "22", "--budget", "21"], 2, "error: n must be in 0..19, got 20\n"),
+            (["--n-max", "21", "--budget", "15"], 3, "error: n=16 exceeds the enumeration budget 15\n"),
         ],
-        ids=["default-budget", "budget", "ground-set-cap"],
+        ids=["default-budget", "budget", "ground-set-cap", "ground-set-within-budget", "budget-within-ground-set"],
     )
     def test_n_max_checked_before_running(self, capsys, monkeypatch, argv, code, err):
         # Running every n below the bad one first would take minutes and,

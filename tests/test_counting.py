@@ -519,7 +519,7 @@ class TestDistribution:
 
         monkeypatch.setattr(partition, "_iter_labels", no_enumeration)
         monkeypatch.setattr(counting, "_iter_labels", no_enumeration)
-        with pytest.raises(OutOfRange, match="n must be in 0..20, got 21"):
+        with pytest.raises(OutOfRange, match="n must be in 0..19, got 20"):
             distribution_table(20, 2, budget=25)
 
     def test_negative_k_max(self):
@@ -548,3 +548,6 @@ class TestSequenceTable:
     def test_unknown_family_rejected(self):
         with pytest.raises(OutOfRange):
             count_table("partial-E", 3, 4)
+        # Up front, even when the column would be empty.
+        with pytest.raises(OutOfRange, match="unknown family 'partial-E'"):
+            count_table("partial-E", 3, -1)

@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -20,3 +21,33 @@ def test_readme_python_block_runs():
     blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
     assert len(blocks) == 1
     exec(blocks[0], {})
+
+
+def _budget_raises(tree: ast.AST) -> list:
+    """The ``raise OutOfBudget(...)`` statements under ``tree``."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", getattr(node.exc.func, "attr", None)) == "OutOfBudget"
+    ]
+
+
+def test_every_budget_error_is_raised_by_check_budget():
+    # One function decides which counting runs may start; a second
+    # statement of the budget check would drift from it.
+    src = Path(crossmap.__file__).resolve().parent
+    everywhere = [
+        (path.name, node.lineno)
+        for path in sorted(src.glob("*.py"))
+        for node in _budget_raises(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    counting = ast.parse((src / "counting.py").read_text(encoding="utf-8"))
+    check = next(
+        node
+        for node in counting.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_check_budget"
+    )
+    inside = [("counting.py", node.lineno) for node in _budget_raises(check)]
+    assert inside and everywhere == inside
