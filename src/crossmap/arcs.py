@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .errors import OutOfRange
-from .partition import PartialPartition
+from .partition import PartialPartition, _Record
 
 CLASSICAL = "classical"
 ENHANCED = "enhanced"
@@ -28,18 +28,18 @@ class Arc(NamedTuple):
         return self.right - self.left
 
 
-class ArcSet:
+class ArcSet(_Record):
     """Arcs of one partition, sorted by left endpoint.
 
     Left endpoints are pairwise distinct and so are right endpoints: within
     a block each element has at most one successor and one predecessor, and
-    a loop uses up both roles of its element.  Immutable; equal, and equally
-    hashed, when the mode and the arcs are.
+    a loop uses up both roles of its element.
     """
 
     __slots__ = ("mode", "arcs", "_walks")
 
-    def __init__(self, mode: str, arcs: tuple[Arc, ...]):
+    def __init__(self, mode: str, arcs: Iterable[Arc]):
+        arcs = tuple(arcs)
         if mode not in (CLASSICAL, ENHANCED):
             raise OutOfRange(f"unknown arc mode {mode!r}")
         lefts = [a.left for a in arcs]
@@ -54,26 +54,6 @@ class ArcSet:
             if a.is_loop and mode == CLASSICAL:
                 raise OutOfRange("classical arc sets cannot contain loops")
         _fill(self, mode, arcs)
-
-    def __eq__(self, other):
-        if other.__class__ is not ArcSet:
-            return NotImplemented
-        return self.mode == other.mode and self.arcs == other.arcs
-
-    def __hash__(self):
-        return hash((self.mode, self.arcs))
-
-    def __repr__(self):
-        return f"ArcSet(mode={self.mode!r}, arcs={self.arcs!r})"
-
-    def __reduce__(self):
-        return ArcSet, (self.mode, self.arcs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __iter__(self):
         return iter(self.arcs)

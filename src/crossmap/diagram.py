@@ -72,12 +72,13 @@ def render_overlay(
             raise OutOfRange(f"colour must be # plus hex digits or a name, got {color!r}")
     geoms = render_strip_coordinates(p)
     n1 = p.n + 1
-    margin = scale
     top = max((g.apex[1] for g in geoms), default=1) + 1
-    width = 2 * (n1 - 1) * scale + 2 * margin
-    height = top * scale + 2 * margin
-    # Strip point (x, y) is drawn at (margin + x * scale, base - y * scale).
-    base = margin + top * scale
+    width = 2 * n1 * scale
+    height = (top + 2) * scale
+    # Strip point (x, y) is drawn at ((x + 1) * scale, (top + 1 - y) * scale),
+    # a margin of one scale all round; X and Y hold that map as text.
+    X = [str((x + 1) * scale) for x in range(2 * n1 - 1)]
+    Y = [str((top + 1 - y) * scale) for y in range(top + 1)]
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -93,20 +94,15 @@ def render_overlay(
     ]
     for layer, _, ((ax, ay), (bx, by), (cx, cy)) in geoms:
         lines.append(
-            f'<polyline class="{layer}-arc" points="'
-            f"{margin + ax * scale},{base - ay * scale} "
-            f"{margin + bx * scale},{base - by * scale} "
-            f'{margin + cx * scale},{base - cy * scale}"/>'
+            f'<polyline class="{layer}-arc" '
+            f'points="{X[ax]},{Y[ay]} {X[bx]},{Y[by]} {X[cx]},{Y[cy]}"/>'
         )
-    label_y = base + scale // 2 + 8
+    label_y = (top + 1) * scale + scale // 2 + 8
     for j in range(1, n1 + 1):
-        cx = margin + 2 * (j - 1) * scale
-        lines.append(f'<circle class="baseline-vertex" cx="{cx}" cy="{base}" r="4"/>')
+        cx = X[2 * j - 2]
+        lines.append(f'<circle class="baseline-vertex" cx="{cx}" cy="{Y[0]}" r="4"/>')
         lines.append(f'<text class="label" x="{cx}" y="{label_y}">{j}</text>')
-    source_y = base - scale
     for i in range(1, p.n + 1):
-        lines.append(
-            f'<circle class="source-vertex" cx="{margin + (2 * i - 1) * scale}" cy="{source_y}" r="4"/>'
-        )
+        lines.append(f'<circle class="source-vertex" cx="{X[2 * i - 1]}" cy="{Y[1]}" r="4"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -16,15 +16,48 @@ from .errors import DuplicateElement, EmptyBlock, NotFull, OutOfRange, ParseErro
 MAX_N = 20
 
 
-class PartialPartition:
-    """A set partition of a subset of [n], in restricted-growth form.
+class _Record:
+    """Value semantics for a slot class: its value is its public slots in
+    declaration order.  Immutable; each ``__init__`` validates and sets the
+    fields with ``object.__setattr__``."""
 
-    Immutable; equal, and equally hashed, when n and the labels are.
-    """
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(f for f in cls.__slots__ if f[0] != "_")
+
+    def _value(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._value()))
+        return f"{self.__class__.__name__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._value()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PartialPartition(_Record):
+    """A set partition of a subset of [n], in restricted-growth form."""
 
     __slots__ = ("n", "labels")
 
-    def __init__(self, n: int, labels: tuple[int, ...]):
+    def __init__(self, n: int, labels: Sequence[int]):
+        labels = tuple(labels)
         if not 0 <= n <= MAX_N:
             raise OutOfRange(f"ambient n must be in 0..{MAX_N}, got {n}")
         if len(labels) != n:
@@ -39,26 +72,6 @@ class PartialPartition:
                 seen_max = v
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "labels", labels)
-
-    def __eq__(self, other):
-        if other.__class__ is not PartialPartition:
-            return NotImplemented
-        return self.n == other.n and self.labels == other.labels
-
-    def __hash__(self):
-        return hash((self.n, self.labels))
-
-    def __repr__(self):
-        return f"PartialPartition(n={self.n!r}, labels={self.labels!r})"
-
-    def __reduce__(self):
-        return PartialPartition, (self.n, self.labels)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def num_blocks(self) -> int:

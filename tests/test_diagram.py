@@ -1,4 +1,5 @@
 import hashlib
+import random
 import re
 import xml.etree.ElementTree as ET
 
@@ -28,6 +29,35 @@ SVG_DIGESTS = {
     (24, ()): "aa849b050543d321aa2f7927376e7e872d6f44e8f3544ca0d18a1721aea71407",
     (24, ("orange", "navy")): "b142dc2109e70527427d4f89468adbb9119aa3d546ffdf85c076850537f34700",
 }
+
+
+#: sha256 over the SVGs of ``_witness_sized(200)``, per (scale, colours),
+#: as the renderer wrote them before it drew through one strip-to-screen
+#: table.  Tents here reach heights the n <= 5 digests never see.
+WITNESS_SVG_DIGESTS = {
+    (24, ()): "e857b0ee024606ea59bff972becd575d6924d70f440c543b4ef17d332efc35b4",
+    (7, ("orange", "navy")): "2086527e46f3a22fb1301a764aac2d236af209a5df02896834651a4721c4568f",
+}
+
+
+def _witness_sized(count):
+    """``count`` seeded partitions of subsets of [n], n in 12..19: each
+    element is absent with probability 1/4, else joins a uniformly chosen
+    block so far or opens a new one."""
+    rng = random.Random(18)
+    out = []
+    for _ in range(count):
+        n = rng.randint(12, 19)
+        blocks = []
+        for e in range(1, n + 1):
+            if rng.random() < 0.25:
+                continue
+            i = rng.randint(0, len(blocks))
+            if i == len(blocks):
+                blocks.append([])
+            blocks[i].append(e)
+        out.append(from_blocks(n, blocks))
+    return out
 
 
 def _svg_elements(svg, tag, cls):
@@ -127,3 +157,10 @@ class TestSvg:
             for p in enumerate_partial(n):
                 digest.update(render_overlay(p, scale, *colors).encode())
         assert digest.hexdigest() == SVG_DIGESTS[scale, colors]
+
+    @pytest.mark.parametrize("scale, colors", list(WITNESS_SVG_DIGESTS))
+    def test_witness_sized_bytes_match_snapshot(self, scale, colors):
+        digest = hashlib.sha256()
+        for p in _witness_sized(200):
+            digest.update(render_overlay(p, scale, *colors).encode())
+        assert digest.hexdigest() == WITNESS_SVG_DIGESTS[scale, colors]

@@ -51,3 +51,23 @@ def test_every_budget_error_is_raised_by_check_budget():
     )
     inside = [("counting.py", node.lineno) for node in _budget_raises(check)]
     assert inside and everywhere == inside
+
+
+VALUE_METHODS = ("__eq__", "__hash__", "__repr__", "__reduce__", "__setattr__", "__delattr__")
+
+
+def test_value_methods_live_only_on_the_record_base():
+    # PartialPartition and ArcSet take their value semantics from one base;
+    # a class that wrote its own copy would drift from it.
+    src = Path(crossmap.__file__).resolve().parent
+    defined = sorted(
+        (name, path.name, cls.name)
+        for path in sorted(src.glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        for name in [node.name]
+        if name in VALUE_METHODS
+    )
+    assert defined == sorted((name, "partition.py", "_Record") for name in VALUE_METHODS)

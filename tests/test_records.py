@@ -133,6 +133,19 @@ class TestValue:
         assert pickle.loads(pickle.dumps(record)) == record
 
 
+@pytest.mark.parametrize(
+    "cls, first, items",
+    [(PartialPartition, 3, [1, 0, 1]), (ArcSet, ENHANCED, [Arc(1, 3), Arc(2, 2)])],
+    ids=["PartialPartition", "ArcSet"],
+)
+def test_sequence_field_is_stored_as_a_tuple(cls, first, items):
+    record = cls(first, items)
+    twin = cls(first, tuple(items))
+    assert record == twin
+    assert hash(record) == hash(twin)
+    items.append(items[-1])
+    assert record == twin and repr(record) == repr(twin)
+
 def test_produced_reports_keep_their_repr():
     assert repr(verify_identity(3, 2)) == RECORDS[3][3]
     assert repr(verify_eigensequence(1)) == (
