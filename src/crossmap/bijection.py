@@ -22,7 +22,7 @@ from typing import Sequence
 from .arcs import Arc, CLASSICAL, ENHANCED
 from .crossings import CrossingWitness
 from .errors import OutOfRange
-from .partition import MAX_N, PartialPartition, require_full
+from .partition import PartialPartition, _check_n, require_full
 
 
 def _from_successors(succ: list[int], n: int) -> tuple[int, ...]:
@@ -41,11 +41,8 @@ def _from_successors(succ: list[int], n: int) -> tuple[int, ...]:
 
 
 def image_n(p: PartialPartition) -> int:
-    """The ambient n of forward(p), p.n + 1; OutOfRange when it passes MAX_N."""
-    if p.n == MAX_N:
-        raise OutOfRange(
-            f"the image of a partition on [n] lies on [n+1], so n must be at most {MAX_N - 1}, got {p.n}"
-        )
+    """The ambient n of forward(p), p.n + 1, checked as a ground set."""
+    _check_n(p.n, shift=1)
     return p.n + 1
 
 

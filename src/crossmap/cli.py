@@ -164,6 +164,7 @@ def _cmd_bell_check(args) -> int:
     _at_least("--n-max", args.n_max, 0)
     _at_least("--budget", args.budget, 0)
     counting._check_upto(None, args.n_max, args.budget, shift=1)
+    counting._check_bitmap(args.n_max)
     ok = True
     for n in range(args.n_max + 1):
         r = counting.verify_eigensequence(n, budget=args.budget)

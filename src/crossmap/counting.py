@@ -24,25 +24,28 @@ None of them builds partition objects, and the searches make no call per
 partition.  Every run checks k, n, the budget (default n <= 12) and the
 ground set in one place, ``_check_budget``, before any work starts; its
 messages name the n and budget given, and a run on [n+1] accepts n <= 19.
+``_check_bitmap`` caps the bitmap's memory at ``BITMAP_CAP``.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .arcs import _arcs
 from .bijection import _reverse_keys
 from .crossings import CROSSING, NESTING, _check_k, _find_crossing, _max_order
 from .errors import Overflow, OutOfBudget, OutOfRange
-from .partition import MAX_N, _iter_labels, _partial_keys
+from .partition import _check_n, _iter_labels, _partial_keys
 
 INT64_MAX = 2**63 - 1
 
 DEFAULT_BUDGET = 12
 BELL_MAX_N = 25
 BINOMIAL_MAX_N = 62
+BITMAP_CAP = 2**30  # bytes; admits the bitmap of n = 12 (742 MiB), not n = 13 (10.1 GiB)
 
 FAMILY_C = "C"
 FAMILY_E = "E"
@@ -65,22 +68,20 @@ def binomial(n: int, i: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _bell_triangle(rows: int) -> tuple[tuple[int, ...], ...]:
-    triangle: list[tuple[int, ...]] = [(1,)]
-    for _ in range(rows):
-        prev = triangle[-1]
-        row = [prev[-1]]
-        for v in prev:
-            row.append(row[-1] + v)
-        triangle.append(tuple(row))
-    return tuple(triangle)
+def _bell_column() -> tuple[int, ...]:
+    """Bell(0..BELL_MAX_N), the first column of the Bell triangle; all fit in int64."""
+    row, column = [1], [1]
+    for _ in range(BELL_MAX_N):
+        row = list(accumulate(row, initial=row[-1]))  # starts with the last entry above
+        column.append(row[0])
+    return tuple(column)
 
 
 def bell(n: int) -> int:
     """Bell number via the Bell triangle, independent of enumeration."""
     if not 0 <= n <= BELL_MAX_N:
         raise OutOfRange(f"bell is capped at n <= {BELL_MAX_N}")
-    return checked(_bell_triangle(n)[n][0])
+    return _bell_column()[n]
 
 
 def _check_budget(k: Optional[int], n: int, budget: int, shift: int = 0) -> None:
@@ -91,8 +92,15 @@ def _check_budget(k: Optional[int], n: int, budget: int, shift: int = 0) -> None
         raise OutOfRange(f"n must be >= 0, got {n}")
     if n > budget:
         raise OutOfBudget(f"n={n} exceeds the enumeration budget {budget}")
-    if n + shift > MAX_N:
-        raise OutOfRange(f"n must be in 0..{MAX_N - shift}, got {n}")
+    _check_n(n, shift)
+
+
+def _check_bitmap(n: int) -> int:
+    """Bytes of the bitmap for n >= 0, one bit per code in [0, (n+1)!), within ``BITMAP_CAP``."""
+    size = (math.factorial(n + 1) + 7) // 8
+    if size > BITMAP_CAP:
+        raise OutOfBudget(f"n={n} needs a {size}-byte bitmap, over the {BITMAP_CAP}-byte memory cap")
+    return size
 
 
 def _check_upto(k: Optional[int], n_max: int, budget: int, shift: int = 0) -> None:
@@ -279,8 +287,7 @@ def verify_eigensequence(n: int, budget: int = DEFAULT_BUDGET) -> IdentityReport
     of [n+1], and the reverse map, whose images over all partitions of
     [n+1] must be pairwise distinct and, compared as a set, equal to the
     enumerated partitions of subsets of [n].  The set is a bitmap over the
-    images' integer codes, (n+1)!/8 bytes: 454 KB at n = 9, 60 MB at
-    n = 11 and 778 MB at n = 12, the default budget.
+    images' integer codes, of ``_check_bitmap(n)`` bytes.
     """
     _check_budget(None, n, budget, shift=1)
     lhs = bell(n + 1)
@@ -290,7 +297,7 @@ def verify_eigensequence(n: int, budget: int = DEFAULT_BUDGET) -> IdentityReport
     # so one bit per code in [0, (n+1)!) marks the set of images.  The
     # partial side's codes are distinct: when all lhs of them find their bit
     # set by lhs marks, the images are distinct and are exactly that set.
-    seen = bytearray((math.factorial(n + 1) + 7) // 8)
+    seen = bytearray(_check_bitmap(n))
     enumerated = _reverse_keys(n + 1, seen)
     partial_total, hits = _partial_keys(n, seen)
     routes = {

@@ -13,13 +13,13 @@ order, for the enumeration route.  The unstopped walk is memoised per
 (kind, mode) on the immutable ``ArcSet``, so finding, counting and the
 maximal orders for any k read one walk.  The brute-force oracle re-checks
 the defining inequalities on every k-subset and exists purely to
-cross-validate that walk.
+cross-validate that walk; finding and counting share its one guard.
 """
 from __future__ import annotations
 
 from itertools import combinations
 from math import inf
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .arcs import Arc, ArcSet, CLASSICAL, ENHANCED
 from .errors import InvalidK, OutOfRange, TooManyArcs
@@ -202,28 +202,25 @@ def _is_witness(arcs: Sequence[Arc], kind: str, strict: bool) -> bool:
     return lefts[-1] < rights[-1] if strict else lefts[-1] <= rights[-1]
 
 
-def oracle_find(a: ArcSet, k: int, kind: str, mode: Optional[str] = None) -> Optional[CrossingWitness]:
-    """Unpruned brute-force search over all k-subsets of arcs.
-
-    Independent cross-check for the pruned search; refuses large inputs.
-    """
+def _oracle(a: ArcSet, k: int, kind: str, mode: Optional[str]) -> Iterator[CrossingWitness]:
+    """The oracle's one guard (k, kind, arc limit, mode), then its witnesses, lazily."""
     _check_k(k)
     _check_kind(kind)
     if len(a.arcs) > ORACLE_MAX_ARCS:
         raise TooManyArcs(f"oracle handles at most {ORACLE_MAX_ARCS} arcs")
     mode = mode or a.mode
     strict = _strict(mode)
-    for combo in combinations(a.arcs, k):
-        if _is_witness(combo, kind, strict):
-            return CrossingWitness(kind, mode, combo)
-    return None
+    return (CrossingWitness(kind, mode, c) for c in combinations(a.arcs, k) if _is_witness(c, kind, strict))
+
+
+def oracle_find(a: ArcSet, k: int, kind: str, mode: Optional[str] = None) -> Optional[CrossingWitness]:
+    """Unpruned brute-force search over all k-subsets of arcs.
+
+    Independent cross-check for the pruned search; refuses large inputs.
+    """
+    return next(_oracle(a, k, kind, mode), None)
 
 
 def oracle_count(a: ArcSet, k: int, kind: str, mode: Optional[str] = None) -> int:
     """Brute-force witness count over all k-subsets."""
-    _check_k(k)
-    _check_kind(kind)
-    if len(a.arcs) > ORACLE_MAX_ARCS:
-        raise TooManyArcs(f"oracle handles at most {ORACLE_MAX_ARCS} arcs")
-    strict = _strict(mode or a.mode)
-    return sum(1 for combo in combinations(a.arcs, k) if _is_witness(combo, kind, strict))
+    return sum(1 for _ in _oracle(a, k, kind, mode))

@@ -5,6 +5,7 @@ A partition of a subset of [n] is stored as a flat label array: position j
 positive block id otherwise.  Block ids follow the restricted-growth rule,
 so every partition has exactly one encoding and label arrays compare
 lexicographically for deterministic enumeration (0 sorts before 1).
+``_check_n`` is the one check of every ground set, [n] or [n+1].
 """
 from __future__ import annotations
 
@@ -14,6 +15,12 @@ from .errors import DuplicateElement, EmptyBlock, NotFull, OutOfRange, ParseErro
 
 #: Largest ambient ground set the package accepts anywhere.
 MAX_N = 20
+
+
+def _check_n(n: int, shift: int = 0) -> None:
+    """Check n for a run whose objects lie on [n + shift]."""
+    if not 0 <= n <= MAX_N - shift:
+        raise OutOfRange(f"n must be in 0..{MAX_N - shift}, got {n}")
 
 
 class _Record:
@@ -58,8 +65,7 @@ class PartialPartition(_Record):
 
     def __init__(self, n: int, labels: Sequence[int]):
         labels = tuple(labels)
-        if not 0 <= n <= MAX_N:
-            raise OutOfRange(f"ambient n must be in 0..{MAX_N}, got {n}")
+        _check_n(n)
         if len(labels) != n:
             raise OutOfRange(f"label array has length {len(labels)}, expected {n}")
         seen_max = 0
@@ -100,10 +106,8 @@ class PartialPartition(_Record):
 
 def from_blocks(n: int, blocks: Sequence[Sequence[int]]) -> PartialPartition:
     """Build the canonical partition of a subset of [n] with these blocks."""
-    labels = [0] * n if 0 <= n <= MAX_N else None
-    if labels is None:
-        raise OutOfRange(f"ambient n must be in 0..{MAX_N}, got {n}")
-    mins = []
+    _check_n(n)
+    labels = [0] * n
     for block in blocks:
         if not block:
             raise EmptyBlock("blocks must be nonempty")
@@ -113,11 +117,9 @@ def from_blocks(n: int, blocks: Sequence[Sequence[int]]) -> PartialPartition:
             if labels[e - 1]:
                 raise DuplicateElement(f"element {e} appears twice")
             labels[e - 1] = -1  # provisional mark; real ids assigned below
-        mins.append(min(block))
     # Restricted-growth ids: blocks numbered by first (smallest) occurrence.
-    order = sorted(range(len(mins)), key=lambda i: mins[i])
-    for rank, i in enumerate(order, start=1):
-        for e in blocks[i]:
+    for rank, block in enumerate(sorted(blocks, key=min), start=1):
+        for e in block:
             labels[e - 1] = rank
     return PartialPartition(n, tuple(labels))
 
@@ -138,11 +140,6 @@ def parse_text(text: str) -> PartialPartition:
     except ValueError:
         raise ParseError(f"bad element in partition text {text!r}") from None
     return from_blocks(n, blocks)
-
-
-def _check_n(n: int) -> None:
-    if not 0 <= n <= MAX_N:
-        raise OutOfRange(f"n must be in 0..{MAX_N}, got {n}")
 
 
 def _iter_labels(n: int, partial: bool) -> Iterator[list[int]]:

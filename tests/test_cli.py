@@ -277,14 +277,12 @@ class TestRender:
 
     def test_ambient_n_over_cap_exit_2(self, capsys):
         code, out, err = run(capsys, "render", "--input", "21:1")
-        assert (code, out, err) == (2, "", "error: ambient n must be in 0..20, got 21\n")
+        assert (code, out, err) == (2, "", "error: n must be in 0..20, got 21\n")
 
     @pytest.mark.parametrize("command", ["render", "map"])
     def test_image_past_the_cap_exit_2(self, capsys, command):
         # The input on [20] is valid; its image would lie on [21].
-        assert run(capsys, command, "--input", "20:1") == (
-            2, "", "error: the image of a partition on [n] lies on [n+1], so n must be at most 19, got 20\n"
-        )
+        assert run(capsys, command, "--input", "20:1") == (2, "", "error: n must be in 0..19, got 20\n")
 
 
 class TestOeisCheck:
@@ -365,6 +363,27 @@ class TestBellCheck:
 
         monkeypatch.setattr(counting, "verify_eigensequence", boom)
         assert run(capsys, "bell-check", *argv) == (code, "", err)
+
+    def test_bitmap_cap_with_a_small_cap(self, capsys, monkeypatch):
+        # n = 6 needs 7!/8 = 630 bytes and n = 7 needs 8!/8 = 5,040.
+        monkeypatch.setattr(counting, "BITMAP_CAP", 1024)
+        code, out, _ = run(capsys, "bell-check", "--n-max", "6")
+        assert code == 0 and len(out.splitlines()) == 7
+        assert run(capsys, "bell-check", "--n-max", "7") == (
+            3, "", "error: n=7 needs a 5040-byte bitmap, over the 1024-byte memory cap\n"
+        )
+
+    def test_bitmap_cap_within_the_budget(self, capsys, monkeypatch):
+        # n = 13 would take 14!/8 bytes, about 10.9 GB, once n = 0..12 had
+        # run; the cap refuses it before any search starts.
+        def boom(*args):
+            raise AssertionError("searched before the bitmap cap was checked")
+
+        monkeypatch.setattr(counting, "_reverse_keys", boom)
+        monkeypatch.setattr(counting, "_partial_keys", boom)
+        assert run(capsys, "bell-check", "--budget", "13", "--n-max", "13") == (
+            3, "", "error: n=13 needs a 10897286400-byte bitmap, over the 1073741824-byte memory cap\n"
+        )
 
 
 class TestFlagRanges:

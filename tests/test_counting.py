@@ -359,6 +359,20 @@ class TestEigensequence:
         with pytest.raises(OutOfRange):
             verify_eigensequence(20, budget=20)
 
+    def test_bitmap_cap(self, monkeypatch):
+        # The default cap admits the default budget and nothing past it.
+        assert math.factorial(13) // 8 <= counting.BITMAP_CAP < math.factorial(14) // 8
+
+        def boom(*args):
+            raise AssertionError("searched before the bitmap cap was checked")
+
+        monkeypatch.setattr(counting, "_reverse_keys", boom)
+        with pytest.raises(OutOfBudget, match="^n=13 needs a 10897286400-byte bitmap"):
+            verify_eigensequence(13, budget=13)
+        monkeypatch.setattr(counting, "BITMAP_CAP", math.factorial(6) // 8)
+        with pytest.raises(OutOfBudget, match="^n=6 needs a 630-byte bitmap, over the 90-byte"):
+            verify_eigensequence(6)
+
 
 def pred_form(labels):
     """The predecessor form of a label array, written out from its definition."""

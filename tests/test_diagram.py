@@ -99,7 +99,7 @@ class TestGeometry:
 
     def test_image_past_the_cap(self):
         # forward of a partition on [MAX_N] would lie on [MAX_N + 1].
-        message = f"the image of a partition on [n] lies on [n+1], so n must be at most {MAX_N - 1}, got {MAX_N}"
+        message = f"n must be in 0..{MAX_N - 1}, got {MAX_N}"
         with pytest.raises(OutOfRange, match=re.escape(message)):
             render_strip_coordinates(from_blocks(MAX_N, [[1]]))
         assert render_strip_coordinates(from_blocks(MAX_N - 1, [[MAX_N - 1]]))[-1].arc == (MAX_N - 1, MAX_N)

@@ -2,6 +2,8 @@ import ast
 import re
 from pathlib import Path
 
+import pytest
+
 import crossmap
 
 
@@ -23,6 +25,13 @@ def test_readme_python_block_runs():
     exec(blocks[0], {})
 
 
+SRC = Path(crossmap.__file__).resolve().parent
+
+
+def _name(node: ast.AST):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
 def _budget_raises(tree: ast.AST) -> list:
     """The ``raise OutOfBudget(...)`` statements under ``tree``."""
     return [
@@ -30,27 +39,56 @@ def _budget_raises(tree: ast.AST) -> list:
         for node in ast.walk(tree)
         if isinstance(node, ast.Raise)
         and isinstance(node.exc, ast.Call)
-        and getattr(node.exc.func, "id", getattr(node.exc.func, "attr", None)) == "OutOfBudget"
+        and _name(node.exc.func) == "OutOfBudget"
     ]
+
+
+def _comparisons_of(constant: str):
+    """A selector of the comparisons that read ``constant``."""
+    return lambda tree: [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and any(_name(leaf) == constant for leaf in ast.walk(node))
+    ]
+
+
+def _assert_only_inside(select, places) -> None:
+    """Every node ``select`` finds in the package lies in one of ``places``,
+    (module, function) pairs, and each of them holds at least one."""
+    everywhere = [
+        (path.name, node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        for node in select(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    inside = []
+    for module, name in places:
+        tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+        function = next(
+            node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name
+        )
+        found = [(module, node.lineno) for node in select(function)]
+        assert found, f"{module}:{name} holds none"
+        inside += found
+    assert sorted(everywhere) == sorted(inside)
 
 
 def test_every_budget_error_is_raised_by_check_budget():
-    # One function decides which counting runs may start; a second
-    # statement of the budget check would drift from it.
-    src = Path(crossmap.__file__).resolve().parent
-    everywhere = [
-        (path.name, node.lineno)
-        for path in sorted(src.glob("*.py"))
-        for node in _budget_raises(ast.parse(path.read_text(encoding="utf-8")))
-    ]
-    counting = ast.parse((src / "counting.py").read_text(encoding="utf-8"))
-    check = next(
-        node
-        for node in counting.body
-        if isinstance(node, ast.FunctionDef) and node.name == "_check_budget"
+    # One function decides how much work a counting run may start, and one
+    # how much memory the bell-check bitmap may take; a second statement of
+    # either check would drift from it.
+    _assert_only_inside(
+        _budget_raises, [("counting.py", "_check_budget"), ("counting.py", "_check_bitmap")]
     )
-    inside = [("counting.py", node.lineno) for node in _budget_raises(check)]
-    assert inside and everywhere == inside
+
+
+@pytest.mark.parametrize(
+    "constant, place",
+    [("MAX_N", ("partition.py", "_check_n")), ("ORACLE_MAX_ARCS", ("crossings.py", "_oracle"))],
+)
+def test_each_cap_is_compared_in_one_place(constant, place):
+    # Objects, enumeration, the image of the bijection and every counting
+    # run share one ground-set check; both oracles share one arc limit.
+    _assert_only_inside(_comparisons_of(constant), [place])
 
 
 VALUE_METHODS = ("__eq__", "__hash__", "__repr__", "__reduce__", "__setattr__", "__delattr__")
@@ -59,10 +97,9 @@ VALUE_METHODS = ("__eq__", "__hash__", "__repr__", "__reduce__", "__setattr__", 
 def test_value_methods_live_only_on_the_record_base():
     # PartialPartition and ArcSet take their value semantics from one base;
     # a class that wrote its own copy would drift from it.
-    src = Path(crossmap.__file__).resolve().parent
     defined = sorted(
         (name, path.name, cls.name)
-        for path in sorted(src.glob("*.py"))
+        for path in sorted(SRC.glob("*.py"))
         for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(cls, ast.ClassDef)
         for node in cls.body

@@ -169,8 +169,8 @@ def test_assignment_message(cls, name):
 @pytest.mark.parametrize(
     "n, labels, message",
     [
-        (21, (), "ambient n must be in 0..20, got 21"),
-        (-1, (), "ambient n must be in 0..20, got -1"),
+        (21, (), "n must be in 0..20, got 21"),
+        (-1, (), "n must be in 0..20, got -1"),
         (2, (1,), "label array has length 1, expected 2"),
         (2, (-1, 0), "negative label at position 1"),
         (2, (2, 1), "label 2 at position 1 breaks restricted growth"),
