@@ -2,14 +2,16 @@
 
 An arc joins two elements that are consecutive within a block.  Under the
 enhanced convention every singleton additionally carries a loop (u, u);
-under the classical convention singletons contribute nothing.
+under the classical convention singletons contribute nothing.  Every arc
+the package builds from a partition is taken from one prebuilt table,
+``ARC``.
 """
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
 from .errors import OutOfRange
-from .partition import PartialPartition, _Record
+from .partition import MAX_N, PartialPartition, _Record
 
 CLASSICAL = "classical"
 ENHANCED = "enhanced"
@@ -76,6 +78,15 @@ def _fill(a: ArcSet, mode: str, arcs: tuple[Arc, ...]) -> ArcSet:
     return a
 
 
+#: ``_new(cls, fields)`` builds the named tuple cls in C, without the
+#: Python-level ``__new__`` that calling cls runs.
+_new = tuple.__new__
+
+#: ``ARC[x][y]`` is the arc (x, y), for 0 <= x, y <= MAX_N + 1: every arc of
+#: a partition of [n] and of its forward image on [n + 1], built once.
+ARC = [[_new(Arc, (x, y)) for y in range(MAX_N + 2)] for x in range(MAX_N + 2)]
+
+
 def _arcs(labels: Iterable[int], enhanced: bool) -> list[Arc]:
     """Consecutive pairs within each block, plus a loop on every singleton
     when ``enhanced``, sorted by left endpoint."""
@@ -85,12 +96,12 @@ def _arcs(labels: Iterable[int], enhanced: bool) -> list[Arc]:
         if v:
             prev = last.get(v)
             if prev is not None:
-                arcs.append(Arc(prev, j))
+                arcs.append(ARC[prev][j])
             last[v] = j
     if enhanced:
         # A block's last element ends an arc unless the block is a singleton.
         rights = {r for _, r in arcs}
-        arcs += [Arc(u, u) for u in last.values() if u not in rights]
+        arcs += [ARC[u][u] for u in last.values() if u not in rights]
     arcs.sort()
     return arcs
 
@@ -101,8 +112,16 @@ def arcs_classical(p: PartialPartition) -> ArcSet:
 
 
 def arcs_enhanced(p: PartialPartition) -> ArcSet:
-    """Classical arcs plus a loop for every singleton block."""
-    return _fill(object.__new__(ArcSet), ENHANCED, tuple(_arcs(p.labels, True)))
+    """Classical arcs plus a loop for every singleton block.
+
+    Built once per partition: the arc set is kept on p, outside its value,
+    so every later call returns the same object (and its witness walks).
+    """
+    a = getattr(p, "_enhanced", None)
+    if a is None:
+        a = _fill(object.__new__(ArcSet), ENHANCED, tuple(_arcs(p.labels, True)))
+        object.__setattr__(p, "_enhanced", a)
+    return a
 
 
 def distance_multiset(a: ArcSet) -> list[int]:

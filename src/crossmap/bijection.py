@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .arcs import Arc, CLASSICAL, ENHANCED
+from .arcs import Arc, CLASSICAL, ENHANCED, _new
 from .crossings import CrossingWitness
 from .errors import OutOfRange
 from .partition import PartialPartition, _check_n, require_full
@@ -142,11 +142,11 @@ def witness_forward(w: CrossingWitness) -> CrossingWitness:
 
     Each arc (a, b) maps to (a, b+1); kind is preserved.
     """
-    arcs = tuple(Arc(a.left, a.right + 1) for a in w.arcs)
-    return CrossingWitness(w.kind, CLASSICAL, arcs)
+    arcs = tuple([_new(Arc, (a.left, a.right + 1)) for a in w.arcs])
+    return _new(CrossingWitness, (w.kind, CLASSICAL, arcs))
 
 
 def witness_reverse(w: CrossingWitness) -> CrossingWitness:
     """Inverse of witness_forward: (a, b) maps to (a, b-1), mode to enhanced."""
-    arcs = tuple(Arc(a.left, a.right - 1) for a in w.arcs)
-    return CrossingWitness(w.kind, ENHANCED, arcs)
+    arcs = tuple([_new(Arc, (a.left, a.right - 1)) for a in w.arcs])
+    return _new(CrossingWitness, (w.kind, ENHANCED, arcs))

@@ -6,22 +6,25 @@ together with a_k <= b_1 (enhanced) or a_k < b_1 (classical).  A k-nesting
 instead has b_k < ... < b_1 with a_k <= b_k (enhanced) or a_k < b_k
 (classical).  Loops can therefore only ever appear in enhanced witnesses.
 
-One pruned depth-first walk, ``_walk``, takes arcs in left-endpoint order
-and tallies, for every order k at once, the number of k-witnesses of one
-kind and the least one; a stop order ends it at the first witness of that
-order, for the enumeration route.  The unstopped walk is memoised per
-(kind, mode) on the immutable ``ArcSet``, so finding, counting and the
-maximal orders for any k read one walk.  The brute-force oracle re-checks
-the defining inequalities on every k-subset and exists purely to
-cross-validate that walk; finding and counting share its one guard.
+One walk, ``_walk``, takes arcs in left-endpoint order and builds the
+witnesses level by level: every (k+1)-witness extends a k-witness by one
+later arc, and each level lists its witnesses in lexicographic order.  So
+it tallies, for every order k at once, the number of k-witnesses of one
+kind and the least one.  A stop order ends it at the first witness of that
+order and drops every entry too short to reach it, for the enumeration
+route.  The unstopped walk is memoised per (kind, mode) on the immutable
+``ArcSet``, so finding, counting and the maximal orders for any k read one
+walk; they read the memo first and check kind and mode only on a miss.
+The brute-force oracle re-checks the defining inequalities on every
+k-subset and exists purely to cross-validate that walk; finding and
+counting share its one guard.
 """
 from __future__ import annotations
 
 from itertools import combinations
-from math import inf
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .arcs import Arc, ArcSet, CLASSICAL, ENHANCED
+from .arcs import Arc, ArcSet, CLASSICAL, ENHANCED, _new
 from .errors import InvalidK, OutOfRange, TooManyArcs
 
 CROSSING = "crossing"
@@ -77,14 +80,16 @@ def _walk(
     """Per order j, the number of j-witnesses of one kind and the least one.
 
     ``arcs`` must be sorted by left endpoint.  Every prefix of a witness in
-    left-endpoint order is a witness of the same kind and mode, so one
-    depth-first walk over prefixes visits every witness of every order once,
-    and the first j-witness it reaches is the least by index.  Returns
-    ``(counts, least, found)``.  Without ``stop``, ``counts[j]`` and
-    ``least[j]`` cover j = 0 .. the largest order (index 0 is the empty
-    witness) and ``found`` is ().  With ``stop``, the walk keeps no tallies,
-    skips prefixes too short to grow to ``stop`` arcs and ends at the first
-    ``stop``-witness, which is ``found`` (() if there is none).
+    left-endpoint order is a witness of the same kind and mode, so the walk
+    builds level j + 1 from level j by extending each j-witness with a later
+    arc.  Level j lists every j-witness in lexicographic order by index, as
+    (index of its last arc, limit, witness), so its first entry is the least
+    j-witness.  Returns ``(counts, least, found)``.  Without ``stop``,
+    ``counts[j]`` and ``least[j]`` cover j = 0 .. the largest order (index 0
+    is the empty witness) and ``found`` is ().  With ``stop``, the walk drops
+    every entry whose remaining arcs are too few to reach ``stop`` arcs, so
+    its tallies are partial, and ``found`` is the least ``stop``-witness
+    (() if there is none).
 
     Each arc after the first must start before a limit: the first right end
     (plus one unless strict) for a crossing, the last right end for a
@@ -97,44 +102,42 @@ def _walk(
     n = len(arcs)
     counts = [1]
     least: list[tuple[Arc, ...]] = [()]
-    path: list[Optional[Arc]] = [None] * n
-
-    def extend(start: int, d: int, limit: float, last_right: float) -> tuple[Arc, ...]:
-        # d - 1 arcs are chosen; the d-th comes from arcs[start:].  Returns
-        # the tail of the stop-witness, built on the way back up.
-        for i in range(start, n - stop + d if stop else n):
-            a = arcs[i]
-            left = a[0]  # indexing: unpacking a namedtuple is slower
-            right = a[1]
-            if left >= limit:
-                break
-            if strict and left == right:
-                continue
-            if nesting:
-                if right >= last_right:
+    # With stop, an entry of level d ending at index i can still reach stop
+    # arcs only while n - 1 - i >= stop - d, so each scan ends before
+    # n - stop + d.  Level 1 is a plain loop: a comprehension is a call.
+    d = 1
+    level = []
+    for i in range(n - stop + d if stop else n):
+        a = arcs[i]
+        right = a[1]  # indexing: unpacking a namedtuple is slower
+        if not (strict and a[0] == right):
+            level.append((i, right if nesting else right + slack, (a,)))
+    while level:
+        if d == stop:
+            return counts, least, level[0][2]
+        counts.append(len(level))
+        least.append(level[0][2])
+        d += 1
+        end = n - stop + d if stop else n
+        deeper = []
+        add = deeper.append
+        for i, limit, w in level:
+            last_right = arcs[i][1]
+            for j in range(i + 1, end):
+                a = arcs[j]
+                left = a[0]
+                if left >= limit:
+                    break
+                right = a[1]
+                if strict and left == right:
                     continue
-            elif right <= last_right:
-                continue
-            if d == stop:
-                return (a,)
-            if not stop:
-                path[d - 1] = a
-                if d < len(counts):
-                    counts[d] += 1
-                else:
-                    counts.append(1)
-                    least.append(tuple(path[:d]))
-            below = right if nesting else limit if d > 1 else right + slack
-            tail = extend(i + 1, d + 1, below, right)
-            if tail:
-                return (a,) + tail
-        return ()
-
-    found = extend(0, 1, inf, inf if nesting else 0)
-    # extend refers to itself; dropping the name frees it (and the lists it
-    # holds) now rather than in a garbage-collector pass.
-    del extend
-    return counts, least, found
+                if nesting:
+                    if right < last_right:
+                        add((j, right, w + (a,)))
+                elif right > last_right:
+                    add((j, limit, w + (a,)))
+        level = deeper
+    return counts, least, ()
 
 
 def _find_crossing(arcs: Sequence[Arc], k: int, strict: bool) -> Optional[tuple[Arc, ...]]:
@@ -142,18 +145,21 @@ def _find_crossing(arcs: Sequence[Arc], k: int, strict: bool) -> Optional[tuple[
 
 
 def _walked(a: ArcSet, kind: str, mode: Optional[str]) -> _Walk:
-    """The unstopped walk of one kind on a, memoised on the arc set."""
-    key = (kind, _strict(mode or a.mode))
+    """The unstopped walk of one kind on a, memoised on the arc set per
+    (kind, mode).  Kind and mode are checked only on a miss, so only valid
+    keys are ever stored and a hit needs no check."""
+    key = (kind, mode or a.mode)
     walk = a._walks.get(key)
     if walk is None:
-        walk = a._walks[key] = _walk(a.arcs, *key)
+        _check_kind(kind)
+        walk = a._walks[key] = _walk(a.arcs, kind, _strict(key[1]))
     return walk
 
 
 def _find(a: ArcSet, k: int, kind: str, mode: Optional[str]) -> Optional[CrossingWitness]:
     _check_k(k)
-    least = _walked(a, kind, mode)[1]
-    return CrossingWitness(kind, mode or a.mode, least[k]) if k < len(least) else None
+    least = (a._walks.get((kind, mode or a.mode)) or _walked(a, kind, mode))[1]
+    return _new(CrossingWitness, (kind, mode or a.mode, least[k])) if k < len(least) else None
 
 
 def find_k_crossing(a: ArcSet, k: int, mode: Optional[str] = None) -> Optional[CrossingWitness]:
@@ -183,8 +189,7 @@ def max_nesting_number(a: ArcSet, mode: Optional[str] = None) -> int:
 def count_k_witnesses(a: ArcSet, k: int, kind: str, mode: Optional[str] = None) -> int:
     """Number of distinct k-subsets of arcs forming a valid witness."""
     _check_k(k)
-    _check_kind(kind)
-    counts = _walked(a, kind, mode)[0]
+    counts = (a._walks.get((kind, mode or a.mode)) or _walked(a, kind, mode))[0]
     return counts[k] if k < len(counts) else 0
 
 

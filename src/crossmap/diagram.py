@@ -10,9 +10,10 @@ the image arc.  Loops are drawn as unit tents over their vertex.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from functools import lru_cache
+from typing import Iterator, NamedTuple
 
-from .arcs import Arc, _arcs
+from .arcs import ARC, Arc, arcs_enhanced
 from .bijection import image_n
 from .errors import OutOfRange
 from .partition import PartialPartition
@@ -22,6 +23,13 @@ IMAGE = "image"
 
 #: A colour goes into the SVG's <style> as is, so only these forms pass.
 _COLOR = re.compile(r"#[0-9A-Fa-f]+|[A-Za-z]+")
+
+#: Most SVG frames ``render_overlay`` keeps, least recently used first out.
+#: A frame is about 6 kB at n = 19, and the ~100 (n, top) pairs that
+#: partitions on [12..19] reach at one scale and colour pair fit.
+_FRAME_CACHE_SIZE = 128
+
+_Tent = tuple[str, Arc, tuple[tuple[int, int], ...]]
 
 
 class ArcGeometry(NamedTuple):
@@ -34,27 +42,74 @@ class ArcGeometry(NamedTuple):
         return self.points[1]
 
 
-def render_strip_coordinates(p: PartialPartition) -> list[ArcGeometry]:
-    """Tent polylines for the enhanced arcs of p and the classical arcs of
-    forward(p), in shared strip coordinates.
+def _tents(p: PartialPartition) -> Iterator[_Tent]:
+    """(layer, arc, points) of every tent: the source's enhanced arcs, then
+    the image arcs.
 
     The image arcs are the source's enhanced arcs (x, y) moved to (x, y+1),
     which is the paper's statement, so forward(p) itself is never built.
     """
     image_n(p)  # raises as forward(p) would when the image passes MAX_N
-    source = _arcs(p.labels, True)
-    out = []
+    source = arcs_enhanced(p).arcs
     for a in source:
         x, y = a
         if x == y:
-            pts = ((2 * x - 2, 1), (2 * x - 1, 2), (2 * x, 1))
+            yield SOURCE, a, ((2 * x - 2, 1), (2 * x - 1, 2), (2 * x, 1))
         else:
-            pts = ((2 * x - 1, 1), (x + y - 1, y - x + 1), (2 * y - 1, 1))
-        out.append(ArcGeometry(SOURCE, a, pts))
+            yield SOURCE, a, ((2 * x - 1, 1), (x + y - 1, y - x + 1), (2 * y - 1, 1))
     for x, y in source:
-        pts = ((2 * x - 2, 0), (x + y - 1, y - x + 1), (2 * y, 0))
-        out.append(ArcGeometry(IMAGE, Arc(x, y + 1), pts))
-    return out
+        yield IMAGE, ARC[x][y + 1], ((2 * x - 2, 0), (x + y - 1, y - x + 1), (2 * y, 0))
+
+
+def render_strip_coordinates(p: PartialPartition) -> list[ArcGeometry]:
+    """Tent polylines for the enhanced arcs of p and the classical arcs of
+    forward(p), in shared strip coordinates."""
+    return [ArcGeometry._make(t) for t in _tents(p)]
+
+
+@lru_cache(maxsize=_FRAME_CACHE_SIZE, typed=True)
+def _frame(
+    n: int, top: int, scale: int, source_color: str, image_color: str
+) -> tuple[str, tuple[str, ...], tuple[str, ...], str]:
+    """What an overlay SVG holds besides its polylines, for a partition on
+    [n] whose highest tent is top - 1: (head, X, Y, tail).
+
+    Strip point (x, y) is drawn at ((x + 1) * scale, (top + 1 - y) * scale),
+    a margin of one scale all round; X and Y hold that map as text.  The
+    head is the XML declaration, the <svg> tag and the style; the tail is
+    the vertices, their labels and the closing tag.  The colours are checked
+    first, so a frame with a bad colour is never cached.
+    """
+    for color in (source_color, image_color):
+        if not _COLOR.fullmatch(color):
+            raise OutOfRange(f"colour must be # plus hex digits or a name, got {color!r}")
+    n1 = n + 1
+    width = 2 * n1 * scale
+    height = (top + 2) * scale
+    X = tuple([str((x + 1) * scale) for x in range(2 * n1 - 1)])
+    Y = tuple([str((top + 1 - y) * scale) for y in range(top + 1)])
+    head = (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">\n'
+        f'<style>.source-arc{{stroke:{source_color};stroke-width:2;'
+        f'stroke-dasharray:6 4;fill:none}}'
+        f'.image-arc{{stroke:{image_color};stroke-width:2;fill:none}}'
+        f'.baseline-vertex{{fill:{image_color}}}'
+        f'.source-vertex{{fill:{source_color}}}'
+        f".label{{font:italic {scale // 2}px serif;text-anchor:middle}}</style>\n"
+    )
+    label_y = (top + 1) * scale + scale // 2 + 8
+    lines = []
+    for j in range(1, n1 + 1):
+        cx = X[2 * j - 2]
+        lines.append(f'<circle class="baseline-vertex" cx="{cx}" cy="{Y[0]}" r="4"/>\n')
+        lines.append(f'<text class="label" x="{cx}" y="{label_y}">{j}</text>\n')
+    for i in range(1, n + 1):
+        lines.append(f'<circle class="source-vertex" cx="{X[2 * i - 1]}" cy="{Y[1]}" r="4"/>\n')
+    lines.append("</svg>\n")
+    return head, X, Y, "".join(lines)
 
 
 def render_overlay(
@@ -65,44 +120,20 @@ def render_overlay(
 ) -> str:
     """Standalone SVG overlay of p and forward(p); byte-stable per input.
 
-    A colour is ``#`` plus hex digits or a plain colour name.
+    A colour is ``#`` plus hex digits or a plain colour name.  Everything
+    but the polylines comes from a cached frame per (n, top, scale,
+    colours), so a colour is checked when its frame is first built.
     """
-    for color in (source_color, image_color):
-        if not _COLOR.fullmatch(color):
-            raise OutOfRange(f"colour must be # plus hex digits or a name, got {color!r}")
-    geoms = render_strip_coordinates(p)
-    n1 = p.n + 1
-    top = max((g.apex[1] for g in geoms), default=1) + 1
-    width = 2 * n1 * scale
-    height = (top + 2) * scale
-    # Strip point (x, y) is drawn at ((x + 1) * scale, (top + 1 - y) * scale),
-    # a margin of one scale all round; X and Y hold that map as text.
-    X = [str((x + 1) * scale) for x in range(2 * n1 - 1)]
-    Y = [str((top + 1 - y) * scale) for y in range(top + 1)]
-
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<style>.source-arc{{stroke:{source_color};stroke-width:2;'
-        f'stroke-dasharray:6 4;fill:none}}'
-        f'.image-arc{{stroke:{image_color};stroke-width:2;fill:none}}'
-        f'.baseline-vertex{{fill:{image_color}}}'
-        f'.source-vertex{{fill:{source_color}}}'
-        f".label{{font:italic {scale // 2}px serif;text-anchor:middle}}</style>",
-    ]
-    for layer, _, ((ax, ay), (bx, by), (cx, cy)) in geoms:
+    # A loop's tent is 2 high, the tent of an arc (x, y) y - x + 1.
+    top = max((max(y - x + 1, 2) for x, y in arcs_enhanced(p).arcs), default=1) + 1
+    # The frame is taken before the tents, so a bad colour is reported
+    # before an image past MAX_N.
+    head, X, Y, tail = _frame(p.n, top, scale, source_color, image_color)
+    lines = [head]
+    for layer, _, ((ax, ay), (bx, by), (cx, cy)) in _tents(p):
         lines.append(
             f'<polyline class="{layer}-arc" '
-            f'points="{X[ax]},{Y[ay]} {X[bx]},{Y[by]} {X[cx]},{Y[cy]}"/>'
+            f'points="{X[ax]},{Y[ay]} {X[bx]},{Y[by]} {X[cx]},{Y[cy]}"/>\n'
         )
-    label_y = (top + 1) * scale + scale // 2 + 8
-    for j in range(1, n1 + 1):
-        cx = X[2 * j - 2]
-        lines.append(f'<circle class="baseline-vertex" cx="{cx}" cy="{Y[0]}" r="4"/>')
-        lines.append(f'<text class="label" x="{cx}" y="{label_y}">{j}</text>')
-    for i in range(1, p.n + 1):
-        lines.append(f'<circle class="source-vertex" cx="{X[2 * i - 1]}" cy="{Y[1]}" r="4"/>')
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    lines.append(tail)
+    return "".join(lines)

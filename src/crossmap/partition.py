@@ -59,9 +59,14 @@ class _Record:
 
 
 class PartialPartition(_Record):
-    """A set partition of a subset of [n], in restricted-growth form."""
+    """A set partition of a subset of [n], in restricted-growth form.
 
-    __slots__ = ("n", "labels")
+    ``arcs.arcs_enhanced`` keeps its arc set in ``_enhanced`` on first use;
+    the labels never change, so the memo lives as long as they do.  It is
+    no part of the value.
+    """
+
+    __slots__ = ("n", "labels", "_enhanced")
 
     def __init__(self, n: int, labels: Sequence[int]):
         labels = tuple(labels)
@@ -97,7 +102,7 @@ class PartialPartition(_Record):
 
     def to_text(self) -> str:
         """Canonical text form, e.g. ``9:1,4,7,9/2,5/3/6``; empty is ``n:``."""
-        body = "/".join(",".join(str(e) for e in b) for b in self.blocks())
+        body = "/".join(",".join(map(str, b)) for b in self.blocks())
         return f"{self.n}:{body}"
 
     def __str__(self) -> str:
@@ -224,17 +229,21 @@ def _partial_keys(n: int, seen: bytearray) -> tuple[int, int]:
 
 
 def enumerate_full(n: int) -> Iterator[PartialPartition]:
-    """All partitions of [n], lexicographic in restricted-growth order."""
+    """All partitions of [n], lexicographic in restricted-growth order.
+
+    n is checked at the call, before anything is iterated.
+    """
     _check_n(n)
-    for labels in _iter_labels(n, partial=False):
-        yield PartialPartition(n, tuple(labels))
+    return (PartialPartition(n, tuple(labels)) for labels in _iter_labels(n, partial=False))
 
 
 def enumerate_partial(n: int) -> Iterator[PartialPartition]:
-    """All partitions of all subsets of [n]; Bell(n+1) items in total."""
+    """All partitions of all subsets of [n]; Bell(n+1) items in total.
+
+    n is checked at the call, before anything is iterated.
+    """
     _check_n(n)
-    for labels in _iter_labels(n, partial=True):
-        yield PartialPartition(n, tuple(labels))
+    return (PartialPartition(n, tuple(labels)) for labels in _iter_labels(n, partial=True))
 
 
 def require_full(p: PartialPartition) -> None:

@@ -105,6 +105,16 @@ class TestWitnessTransport:
         w = CrossingWitness(CROSSING, ENHANCED, (Arc(1, 4), Arc(2, 5)))
         assert witness_reverse(witness_forward(w)) == w
 
+    def test_hand_built_witness_past_the_arc_table(self):
+        # Hand-built witnesses may end past MAX_N + 1, where no prebuilt
+        # arc exists; the transport builds each arc itself.
+        w = CrossingWitness(NESTING, ENHANCED, (Arc(1, 30), Arc(2, 29)))
+        image = witness_forward(w)
+        assert image == (NESTING, CLASSICAL, ((1, 31), (2, 30)))
+        assert witness_reverse(image) == w
+        back = witness_reverse(CrossingWitness(CROSSING, CLASSICAL, (Arc(29, 31), Arc(30, 32))))
+        assert back.arcs == (Arc(29, 30), Arc(30, 31))
+
     def test_transported_witnesses_are_witnesses(self):
         # every enhanced witness of p maps to a valid classical witness of forward(p)
         for p in enumerate_partial(5):

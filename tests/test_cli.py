@@ -284,6 +284,19 @@ class TestRender:
         # The input on [20] is valid; its image would lie on [21].
         assert run(capsys, command, "--input", "20:1") == (2, "", "error: n must be in 0..19, got 20\n")
 
+    def test_bad_colour_after_a_cached_frame_exit_2(self, capsys):
+        # A good render caches the frame of this size; a bad colour is
+        # another frame, so it is still checked.
+        assert run(capsys, "render", "--input", "4:1,3/2,4")[0] == 0
+        code, out, err = run(capsys, "render", "--input", "4:1,3/2,4", "--source-color", "a;b")
+        assert (code, out, err) == (2, "", "error: colour must be # plus hex digits or a name, got 'a;b'\n")
+
+    def test_bad_colour_reported_before_the_image_cap(self, capsys):
+        # Both the colour and the image's ground set are wrong: the colour
+        # error comes first, as it did when colours were checked up front.
+        code, out, err = run(capsys, "render", "--input", "20:1", "--source-color", "a;b")
+        assert (code, out, err) == (2, "", "error: colour must be # plus hex digits or a name, got 'a;b'\n")
+
 
 class TestOeisCheck:
     @pytest.mark.parametrize("oeis_id", ["A000108", "A001006", "A108304", "A108307", "A000110"])

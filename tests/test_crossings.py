@@ -197,7 +197,7 @@ class TestWalk:
                 for mode in (CLASSICAL, ENHANCED):
                     count_k_witnesses(a, 1, kind, mode)
             assert len(a._walks) == 4
-            fresh = arcs_enhanced(p)
+            fresh = ArcSet(a.mode, a.arcs)
             assert not fresh._walks
             assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
 

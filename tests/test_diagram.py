@@ -164,3 +164,21 @@ class TestSvg:
         for p in _witness_sized(200):
             digest.update(render_overlay(p, scale, *colors).encode())
         assert digest.hexdigest() == WITNESS_SVG_DIGESTS[scale, colors]
+
+    def test_interleaved_settings_match_snapshots(self):
+        # Frames are cached per (n, top, scale, colours): rendering each
+        # input under settings A, B, A in turn must give every digest, so
+        # no frame of one setting is served for another.
+        a, b = list(WITNESS_SVG_DIGESTS)
+        digests = [hashlib.sha256() for _ in range(3)]
+        for p in _witness_sized(200):
+            for digest, (scale, colors) in zip(digests, (a, b, a)):
+                digest.update(render_overlay(p, scale, *colors).encode())
+        assert [d.hexdigest() for d in digests] == [WITNESS_SVG_DIGESTS[s] for s in (a, b, a)]
+
+    def test_scale_type_is_part_of_the_frame(self):
+        # 24 and 24.0 compare equal but print differently.
+        p = parse_text(PAPER_PI)
+        assert 'width="480"' in render_overlay(p, 24)
+        assert 'width="480.0"' in render_overlay(p, 24.0)
+        assert 'width="480"' in render_overlay(p, 24)

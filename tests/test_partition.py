@@ -176,6 +176,13 @@ class TestEnumeration:
         assert [p.labels for p in enumerate_full(0)] == [()]
         assert [p.labels for p in enumerate_partial(0)] == [()]
 
+    @pytest.mark.parametrize("enumerate_", [enumerate_full, enumerate_partial])
+    @pytest.mark.parametrize("n", [-1, MAX_N + 1])
+    def test_ground_set_checked_at_the_call(self, enumerate_, n):
+        # The call itself raises; nothing is iterated.
+        with pytest.raises(OutOfRange, match=f"n must be in 0..{MAX_N}, got {n}"):
+            enumerate_(n)
+
     def test_full_n3_by_hand(self):
         got = [p.labels for p in enumerate_full(3)]
         assert got == [

@@ -2,14 +2,15 @@
 
 Each record compares and hashes on its fields, prints the same ``repr``,
 refuses attribute assignment, and survives ``copy`` and ``pickle``.
-``PartialPartition`` and ``ArcSet`` also validate on construction.
+``PartialPartition`` and ``ArcSet`` also validate on construction, and
+the memos they carry are no part of their value.
 """
 import copy
 import pickle
 
 import pytest
 
-from crossmap.arcs import CLASSICAL, ENHANCED, Arc, ArcSet
+from crossmap.arcs import CLASSICAL, ENHANCED, Arc, ArcSet, arcs_enhanced
 from crossmap.counting import (
     DistributionRow,
     DistributionTable,
@@ -208,3 +209,17 @@ def test_arc_set_memo_is_not_a_field():
     assert a == ArcSet(ENHANCED, (Arc(1, 3), Arc(2, 2)))
     with pytest.raises(AttributeError):
         a._walks = {}
+
+
+def test_partition_arc_memo_is_not_a_field():
+    p = PartialPartition(3, (1, 0, 1))
+    bare = PartialPartition(3, (1, 0, 1))
+    a = arcs_enhanced(p)
+    assert arcs_enhanced(p) is a and p._enhanced is a
+    assert getattr(bare, "_enhanced", None) is None
+    assert p == bare and hash(p) == hash(bare) and repr(p) == repr(bare)
+    assert pickle.dumps(p) == pickle.dumps(bare)
+    for twin in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+        assert twin == p and getattr(twin, "_enhanced", None) is None
+    with pytest.raises(AttributeError):
+        p._enhanced = None
