@@ -8,7 +8,7 @@ the package builds from a partition is taken from one prebuilt table,
 """
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import OutOfRange
 from .partition import MAX_N, PartialPartition, _Record
@@ -68,7 +68,7 @@ def _fill(a: ArcSet, mode: str, arcs: tuple[Arc, ...]) -> ArcSet:
     """Set a's fields unchecked: ``arcs_classical`` and ``arcs_enhanced``
     pass arcs that ``_arcs`` built sorted and valid.
 
-    ``crossings`` keeps its witness walk per (kind, strict) in ``_walks``;
+    ``crossings`` keeps its witness walks per (kind, mode) in ``_walks``;
     the arcs never change, so the memo lives as long as they do.  It is no
     part of the value.
     """
@@ -87,28 +87,29 @@ _new = tuple.__new__
 ARC = [[_new(Arc, (x, y)) for y in range(MAX_N + 2)] for x in range(MAX_N + 2)]
 
 
-def _arcs(labels: Iterable[int], enhanced: bool) -> list[Arc]:
+def _arcs(labels: Sequence[int], enhanced: bool) -> tuple[Arc, ...]:
     """Consecutive pairs within each block, plus a loop on every singleton
-    when ``enhanced``, sorted by left endpoint."""
-    last: dict[int, int] = {}
-    arcs = []
-    for j, v in enumerate(labels, 1):
+    when ``enhanced``, sorted by left endpoint: ``out[x]`` is the arc x
+    starts, to the next element of its block or, while none came, its loop."""
+    n = len(labels)
+    out: list[Optional[Arc]] = [None] * (n + 1)
+    last = [0] * (n + 1)  # last[v]: the last element seen so far in block v
+    for x, v in enumerate(labels, 1):
         if v:
-            prev = last.get(v)
-            if prev is not None:
-                arcs.append(ARC[prev][j])
-            last[v] = j
-    if enhanced:
-        # A block's last element ends an arc unless the block is a singleton.
-        rights = {r for _, r in arcs}
-        arcs += [ARC[u][u] for u in last.values() if u not in rights]
-    arcs.sort()
-    return arcs
+            a = last[v]
+            if a:
+                out[a] = ARC[a][x]
+            elif enhanced:
+                out[x] = ARC[x][x]
+            last[v] = x
+    # Through a list: tuple() of a filter shrinks an oversized tuple, which
+    # keeps its larger memory block.
+    return tuple(list(filter(None, out)))
 
 
 def arcs_classical(p: PartialPartition) -> ArcSet:
     """One arc per consecutive pair within a block; no loops."""
-    return _fill(object.__new__(ArcSet), CLASSICAL, tuple(_arcs(p.labels, False)))
+    return _fill(object.__new__(ArcSet), CLASSICAL, _arcs(p.labels, False))
 
 
 def arcs_enhanced(p: PartialPartition) -> ArcSet:
@@ -117,9 +118,9 @@ def arcs_enhanced(p: PartialPartition) -> ArcSet:
     Built once per partition: the arc set is kept on p, outside its value,
     so every later call returns the same object (and its witness walks).
     """
-    a = getattr(p, "_enhanced", None)
+    a = p._enhanced
     if a is None:
-        a = _fill(object.__new__(ArcSet), ENHANCED, tuple(_arcs(p.labels, True)))
+        a = _fill(object.__new__(ArcSet), ENHANCED, _arcs(p.labels, True))
         object.__setattr__(p, "_enhanced", a)
     return a
 

@@ -8,9 +8,9 @@ k-crossings (and k-nestings) map onto classical ones.
 
 Both directions run in O(n) on a label-array core: they fill ``succ[x]``,
 the next element of x's block in the result (x itself at a block's end, 0
-when x is absent), and label each chain from its smallest element.  The
-public maps check their input and pass the core's labels through the
-validating ``PartialPartition`` constructor.  ``_reverse_keys`` serves
+when x is absent), and label each chain from its smallest element, which is
+restricted growth by construction: the public maps check their input and
+wrap those labels unchecked (``partition._trusted``).  ``_reverse_keys`` serves
 ``bell-check``: one depth-first search over all partitions of [m] keeps the
 integer code of each reverse image's predecessor form up to date as it goes
 and sets that code's bit in a bitmap.
@@ -22,21 +22,22 @@ from typing import Sequence
 from .arcs import Arc, CLASSICAL, ENHANCED, _new
 from .crossings import CrossingWitness
 from .errors import OutOfRange
-from .partition import PartialPartition, _check_n, require_full
+from .partition import PartialPartition, _check_n, _trusted, require_full
 
 
 def _from_successors(succ: list[int], n: int) -> tuple[int, ...]:
     """Labels of the partition of a subset of [n] whose blocks are the chains of ``succ``."""
-    labels = [0] * n
+    labels = [0] * (n + 1)  # labels[x] for x in [n]; labels[0] is dropped
     blocks = 0
     for x in range(1, n + 1):
-        if succ[x] and not labels[x - 1]:
+        if succ[x] and not labels[x]:
             blocks += 1
             y = x
-            labels[y - 1] = blocks
+            labels[y] = blocks
             while succ[y] != y:
                 y = succ[y]
-                labels[y - 1] = blocks
+                labels[y] = blocks
+    del labels[0]
     return tuple(labels)
 
 
@@ -50,21 +51,21 @@ def forward(p: PartialPartition) -> PartialPartition:
     """Map a partition of a subset of [n] to a full partition of [n+1]."""
     n = image_n(p)
     succ = list(range(n + 1))
-    last = [0] * (p.num_blocks + 1)
+    last = [0] * n  # p has at most n - 1 blocks
     for e, v in enumerate(p.labels, start=1):
         if v:
             # a < e consecutive give a -> e+1; a first element u gets u -> u+1,
             # which stands only if u stays a singleton.
             succ[last[v] or e] = e + 1
             last[v] = e
-    return PartialPartition(n, _from_successors(succ, n))
+    return _trusted(n, _from_successors(succ, n))
 
 
 def _reverse_labels(labels: Sequence[int]) -> tuple[int, ...]:
     """Labels of the reverse image of the full partition of [m] with these labels, m >= 1."""
     m = len(labels)
     succ = [0] * m
-    last = [0] * (max(labels) + 1)
+    last = [0] * (m + 1)  # last[v]: the last element seen so far in block v <= m
     for e, v in enumerate(labels, start=1):
         if last[v]:  # a < e consecutive give a -> e-1; a unit pair a loop
             succ[last[v]] = e - 1
@@ -134,7 +135,7 @@ def reverse(q: PartialPartition) -> PartialPartition:
     require_full(q)
     if q.n == 0:
         raise OutOfRange("reverse needs a partition of [n+1] with n >= 0, got one of [0]")
-    return PartialPartition(q.n - 1, _reverse_labels(q.labels))
+    return _trusted(q.n - 1, _reverse_labels(q.labels))
 
 
 def witness_forward(w: CrossingWitness) -> CrossingWitness:

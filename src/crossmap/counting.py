@@ -36,7 +36,7 @@ from typing import NamedTuple, Optional
 
 from .arcs import _arcs
 from .bijection import _reverse_keys
-from .crossings import CROSSING, NESTING, _check_k, _find_crossing, _max_order
+from .crossings import CROSSING, NESTING, _check_k, _find_crossing, _walk as _witness_walk
 from .errors import Overflow, OutOfBudget, OutOfRange
 from .partition import _check_n, _iter_labels, _partial_keys
 
@@ -85,12 +85,11 @@ def bell(n: int) -> int:
 
 
 def _check_budget(k: Optional[int], n: int, budget: int, shift: int = 0) -> None:
-    """Check k (unless None), n >= 0, the budget, then the ground set [n + shift]."""
+    """Check k (unless None), the budget, then the ground set [n + shift];
+    a negative n skips the budget and fails ``_check_n``, as everywhere."""
     if k is not None:
         _check_k(k)
-    if n < 0:
-        raise OutOfRange(f"n must be >= 0, got {n}")
-    if n > budget:
+    if n > budget and n >= 0:
         raise OutOfBudget(f"n={n} exceeds the enumeration budget {budget}")
     _check_n(n, shift)
 
@@ -341,9 +340,8 @@ def _orders(n: int, partial: bool, enhanced: bool) -> dict[str, Counter]:
     """Per kind, how many label arrays of [n] have each maximal order."""
     orders = {CROSSING: Counter(), NESTING: Counter()}
     for labels in _iter_labels(n, partial):
-        arcs = _arcs(labels, enhanced)
-        for kind, seen in orders.items():
-            seen[_max_order(arcs, kind, not enhanced)] += 1
+        for kind, (counts, _) in _witness_walk(_arcs(labels, enhanced), not enhanced).items():
+            orders[kind][len(counts) - 1] += 1
     return orders
 
 

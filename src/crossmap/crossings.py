@@ -7,14 +7,15 @@ instead has b_k < ... < b_1 with a_k <= b_k (enhanced) or a_k < b_k
 (classical).  Loops can therefore only ever appear in enhanced witnesses.
 
 One walk, ``_walk``, takes arcs in left-endpoint order and builds the
-witnesses level by level: every (k+1)-witness extends a k-witness by one
-later arc, and each level lists its witnesses in lexicographic order.  So
-it tallies, for every order k at once, the number of k-witnesses of one
-kind and the least one.  A stop order ends it at the first witness of that
-order and drops every entry too short to reach it, for the enumeration
-route.  The unstopped walk is memoised per (kind, mode) on the immutable
-``ArcSet``, so finding, counting and the maximal orders for any k read one
-walk; they read the memo first and check kind and mode only on a miss.
+witnesses level by level: one scan over the pairs of arcs gives level 2 of
+both kinds, and one level loop, ``_deeper``, extends every k-witness by one
+later arc, keeping each level in lexicographic order.  So it tallies, for
+every order k at once, the k-crossings and k-nestings and the least of
+each.  The enumeration route's ``_find_crossing`` runs the same loop from
+level 1, stopped at its order.  The walk is memoised on the immutable
+``ArcSet`` per (kind, mode), and a miss fills both kinds, so finding,
+counting and the maximal orders for any k read one walk per mode; they read
+the memo first and check kind and mode only on a miss.
 The brute-force oracle re-checks the defining inequalities on every
 k-subset and exists purely to cross-validate that walk; finding and
 counting share its one guard.
@@ -33,8 +34,8 @@ NESTING = "nesting"
 MAX_K = 8
 ORACLE_MAX_ARCS = 24
 
-#: What ``_walk`` returns: (counts, least, found).
-_Walk = tuple[list[int], list[tuple[Arc, ...]], tuple[Arc, ...]]
+#: One kind's walk, as ``_walk`` returns it: (counts, least).
+_Walk = tuple[list[int], list[tuple[Arc, ...]]]
 
 
 class CrossingWitness(NamedTuple):
@@ -74,85 +75,98 @@ def _strict(mode: str) -> bool:
     return mode == CLASSICAL
 
 
-def _walk(
-    arcs: Sequence[Arc], kind: str, strict: bool, stop: int = 0
-) -> _Walk:
-    """Per order j, the number of j-witnesses of one kind and the least one.
+def _deeper(arcs: Sequence[Arc], level: list, nesting: bool, end: int) -> list:
+    """The next level of one kind's witnesses, extending each entry of
+    ``level`` by one later arc with index below ``end``.
 
-    ``arcs`` must be sorted by left endpoint.  Every prefix of a witness in
-    left-endpoint order is a witness of the same kind and mode, so the walk
-    builds level j + 1 from level j by extending each j-witness with a later
-    arc.  Level j lists every j-witness in lexicographic order by index, as
-    (index of its last arc, limit, witness), so its first entry is the least
-    j-witness.  Returns ``(counts, least, found)``.  Without ``stop``,
-    ``counts[j]`` and ``least[j]`` cover j = 0 .. the largest order (index 0
-    is the empty witness) and ``found`` is ().  With ``stop``, the walk drops
-    every entry whose remaining arcs are too few to reach ``stop`` arcs, so
-    its tallies are partial, and ``found`` is the least ``stop``-witness
-    (() if there is none).
-
-    Each arc after the first must start before a limit: the first right end
-    (plus one unless strict) for a crossing, the last right end for a
-    nesting.  Left ends increase, so the scan stops at the first arc past
-    the limit.  Strict witnesses hold no loop, and a loop can only close a
-    nesting.
+    A level lists its witnesses in lexicographic order by index, as (index
+    of the last arc, limit, witness), so its first entry is the least.  An
+    extension must start before the limit, so a scan stops at the first arc
+    past it: the first right end (plus one unless strict) for a crossing,
+    the last right end for a nesting.  No loop extends a strict crossing:
+    it would end both before and after the first right end.
     """
-    nesting = kind == NESTING
+    deeper = []
+    add = deeper.append
+    for i, limit, w in level:
+        last_right = arcs[i][1]  # indexing: unpacking a namedtuple is slower
+        for j in range(i + 1, end):
+            a = arcs[j]
+            if a[0] >= limit:
+                break
+            right = a[1]
+            if nesting:
+                if right < last_right:
+                    add((j, right, w + (a,)))
+            elif right > last_right:
+                add((j, limit, w + (a,)))
+    return deeper
+
+
+def _walk(arcs: Sequence[Arc], strict: bool) -> dict[str, _Walk]:
+    """Per kind, ``(counts, least)``: the number of j-witnesses and the least
+    one for j = 0 .. the largest order (0 is the empty witness).
+
+    ``arcs`` are sorted by left end, with distinct right ends, and hold no
+    loop when strict.  So every arc is a 1-witness of both kinds, and arcs
+    i < j with j starting before i's crossing limit are a crossing if j
+    ends after i and a nesting otherwise: one pair scan gives level 2.
+    """
     slack = not strict
     n = len(arcs)
-    counts = [1]
-    least: list[tuple[Arc, ...]] = [()]
-    # With stop, an entry of level d ending at index i can still reach stop
-    # arcs only while n - 1 - i >= stop - d, so each scan ends before
-    # n - stop + d.  Level 1 is a plain loop: a comprehension is a call.
-    d = 1
-    level = []
-    for i in range(n - stop + d if stop else n):
-        a = arcs[i]
-        right = a[1]  # indexing: unpacking a namedtuple is slower
-        if not (strict and a[0] == right):
-            level.append((i, right if nesting else right + slack, (a,)))
-    while level:
-        if d == stop:
-            return counts, least, level[0][2]
-        counts.append(len(level))
-        least.append(level[0][2])
-        d += 1
-        end = n - stop + d if stop else n
-        deeper = []
-        add = deeper.append
-        for i, limit, w in level:
-            last_right = arcs[i][1]
-            for j in range(i + 1, end):
-                a = arcs[j]
-                left = a[0]
-                if left >= limit:
-                    break
-                right = a[1]
-                if strict and left == right:
-                    continue
-                if nesting:
-                    if right < last_right:
-                        add((j, right, w + (a,)))
-                elif right > last_right:
-                    add((j, limit, w + (a,)))
-        level = deeper
-    return counts, least, ()
+    crossings, nestings = [], []
+    for i, first in enumerate(arcs):
+        right = first[1]
+        limit = right + slack
+        for j in range(i + 1, n):
+            a = arcs[j]
+            if a[0] >= limit:
+                break
+            if a[1] > right:
+                crossings.append((j, limit, (first, a)))
+            else:
+                nestings.append((j, a[1], (first, a)))
+    walks = {}
+    for kind, level in ((CROSSING, crossings), (NESTING, nestings)):
+        counts, least = ([1, n], [(), (arcs[0],)]) if n else ([1], [()])
+        nesting = kind == NESTING
+        while level:
+            counts.append(len(level))
+            least.append(level[0][2])
+            level = _deeper(arcs, level, nesting, n)
+        walks[kind] = counts, least
+    return walks
 
 
 def _find_crossing(arcs: Sequence[Arc], k: int, strict: bool) -> Optional[tuple[Arc, ...]]:
-    return _walk(arcs, CROSSING, strict, k)[2] or None
+    """The least k-crossing of arcs sorted by left end, or None: the walk
+    from level 1, stopped at order k.  An entry of level d ending at index i
+    can reach k arcs only if i < n - k + d, so every scan ends there."""
+    slack = not strict
+    n = len(arcs)
+    starts = enumerate(arcs[: n - k + 1])  # the arcs that can start k of them
+    level = [(i, a[1] + slack, (a,)) for i, a in starts if not (strict and a[0] == a[1])]
+    d = 1
+    while level and d < k:
+        d += 1
+        level = _deeper(arcs, level, False, n - k + d)
+    return level[0][2] if level else None
 
 
 def _walked(a: ArcSet, kind: str, mode: Optional[str]) -> _Walk:
-    """The unstopped walk of one kind on a, memoised on the arc set per
-    (kind, mode).  Kind and mode are checked only on a miss, so only valid
-    keys are ever stored and a hit needs no check."""
-    key = (kind, mode or a.mode)
-    walk = a._walks.get(key)
+    """The walk of one kind on a, memoised on the arc set per (kind, mode);
+    a miss fills both kinds' entries.  Kind and mode are checked only on a
+    miss, so only valid keys are ever stored and a hit needs no check.  Read
+    in the other mode, an arc set drops its loops (a classical one has none).
+    """
+    mode = mode or a.mode
+    walk = a._walks.get((kind, mode))
     if walk is None:
         _check_kind(kind)
-        walk = a._walks[key] = _walk(a.arcs, kind, _strict(key[1]))
+        arcs = a.arcs if mode == a.mode else [x for x in a.arcs if x[0] != x[1]]
+        for other, walk in _walk(arcs, _strict(mode)).items():
+            a._walks[other, mode] = walk
+        walk = a._walks[kind, mode]
     return walk
 
 
@@ -170,10 +184,6 @@ def find_k_crossing(a: ArcSet, k: int, mode: Optional[str] = None) -> Optional[C
 def find_k_nesting(a: ArcSet, k: int, mode: Optional[str] = None) -> Optional[CrossingWitness]:
     """Lexicographically least k-nesting by left endpoints, if any."""
     return _find(a, k, NESTING, mode)
-
-
-def _max_order(arcs: Sequence[Arc], kind: str, strict: bool) -> int:
-    return len(_walk(arcs, kind, strict)[0]) - 1
 
 
 def max_crossing_number(a: ArcSet, mode: Optional[str] = None) -> int:

@@ -29,7 +29,7 @@ _COLOR = re.compile(r"#[0-9A-Fa-f]+|[A-Za-z]+")
 #: partitions on [12..19] reach at one scale and colour pair fit.
 _FRAME_CACHE_SIZE = 128
 
-_Tent = tuple[str, Arc, tuple[tuple[int, int], ...]]
+_Tent = tuple[str, Arc, int, int, int, int, int, int]  # layer, arc, x and y of 3 points
 
 
 class ArcGeometry(NamedTuple):
@@ -43,7 +43,7 @@ class ArcGeometry(NamedTuple):
 
 
 def _tents(p: PartialPartition) -> Iterator[_Tent]:
-    """(layer, arc, points) of every tent: the source's enhanced arcs, then
+    """Every tent, as flat coordinates: the source's enhanced arcs, then
     the image arcs.
 
     The image arcs are the source's enhanced arcs (x, y) moved to (x, y+1),
@@ -54,17 +54,17 @@ def _tents(p: PartialPartition) -> Iterator[_Tent]:
     for a in source:
         x, y = a
         if x == y:
-            yield SOURCE, a, ((2 * x - 2, 1), (2 * x - 1, 2), (2 * x, 1))
+            yield SOURCE, a, 2 * x - 2, 1, 2 * x - 1, 2, 2 * x, 1
         else:
-            yield SOURCE, a, ((2 * x - 1, 1), (x + y - 1, y - x + 1), (2 * y - 1, 1))
+            yield SOURCE, a, 2 * x - 1, 1, x + y - 1, y - x + 1, 2 * y - 1, 1
     for x, y in source:
-        yield IMAGE, ARC[x][y + 1], ((2 * x - 2, 0), (x + y - 1, y - x + 1), (2 * y, 0))
+        yield IMAGE, ARC[x][y + 1], 2 * x - 2, 0, x + y - 1, y - x + 1, 2 * y, 0
 
 
 def render_strip_coordinates(p: PartialPartition) -> list[ArcGeometry]:
     """Tent polylines for the enhanced arcs of p and the classical arcs of
     forward(p), in shared strip coordinates."""
-    return [ArcGeometry._make(t) for t in _tents(p)]
+    return [ArcGeometry(t[0], t[1], (t[2:4], t[4:6], t[6:])) for t in _tents(p)]
 
 
 @lru_cache(maxsize=_FRAME_CACHE_SIZE, typed=True)
@@ -125,12 +125,12 @@ def render_overlay(
     colours), so a colour is checked when its frame is first built.
     """
     # A loop's tent is 2 high, the tent of an arc (x, y) y - x + 1.
-    top = max((max(y - x + 1, 2) for x, y in arcs_enhanced(p).arcs), default=1) + 1
+    top = max([2 if x == y else y - x + 1 for x, y in arcs_enhanced(p).arcs], default=1) + 1
     # The frame is taken before the tents, so a bad colour is reported
     # before an image past MAX_N.
     head, X, Y, tail = _frame(p.n, top, scale, source_color, image_color)
     lines = [head]
-    for layer, _, ((ax, ay), (bx, by), (cx, cy)) in _tents(p):
+    for layer, _, ax, ay, bx, by, cx, cy in _tents(p):
         lines.append(
             f'<polyline class="{layer}-arc" '
             f'points="{X[ax]},{Y[ay]} {X[bx]},{Y[by]} {X[cx]},{Y[cy]}"/>\n'

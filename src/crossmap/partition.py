@@ -15,6 +15,8 @@ from .errors import DuplicateElement, EmptyBlock, NotFull, OutOfRange, ParseErro
 
 #: Largest ambient ground set the package accepts anywhere.
 MAX_N = 20
+#: ``_ELEMENT_TEXT[x - 1]`` is ``str(x)``, for every element x of a ground set.
+_ELEMENT_TEXT = [str(x) for x in range(1, MAX_N + 1)]
 
 
 def _check_n(n: int, shift: int = 0) -> None:
@@ -61,9 +63,9 @@ class _Record:
 class PartialPartition(_Record):
     """A set partition of a subset of [n], in restricted-growth form.
 
-    ``arcs.arcs_enhanced`` keeps its arc set in ``_enhanced`` on first use;
-    the labels never change, so the memo lives as long as they do.  It is
-    no part of the value.
+    ``arcs.arcs_enhanced`` keeps its arc set in ``_enhanced`` (None until
+    then) on first use; the labels never change, so the memo lives as long
+    as they do.  It is no part of the value.
     """
 
     __slots__ = ("n", "labels", "_enhanced")
@@ -81,8 +83,7 @@ class PartialPartition(_Record):
                 raise OutOfRange(f"label {v} at position {j + 1} breaks restricted growth")
             if v == seen_max + 1:
                 seen_max = v
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "labels", labels)
+        _fill(self, n, labels)
 
     @property
     def num_blocks(self) -> int:
@@ -92,21 +93,40 @@ class PartialPartition(_Record):
     def is_full(self) -> bool:
         return 0 not in self.labels
 
+    def _group(self, items: Sequence) -> list[list]:
+        """The blocks ordered by minimum, with each element x as items[x - 1]."""
+        out: list[list] = []
+        for x, v in zip(items, self.labels):
+            if v > len(out):  # restricted growth: a new block takes the next label
+                out.append([x])
+            elif v:
+                out[v - 1].append(x)
+        return out
+
     def blocks(self) -> list[list[int]]:
         """Blocks as sorted element lists, ordered by minimum element."""
-        out: list[list[int]] = [[] for _ in range(self.num_blocks)]
-        for j, v in enumerate(self.labels):
-            if v:
-                out[v - 1].append(j + 1)
-        return out
+        return self._group(range(1, self.n + 1))
 
     def to_text(self) -> str:
         """Canonical text form, e.g. ``9:1,4,7,9/2,5/3/6``; empty is ``n:``."""
-        body = "/".join(",".join(map(str, b)) for b in self.blocks())
-        return f"{self.n}:{body}"
+        return f"{self.n}:" + "/".join([",".join(b) for b in self._group(_ELEMENT_TEXT)])
 
     def __str__(self) -> str:
         return self.to_text()
+
+
+def _fill(p: PartialPartition, n: int, labels: tuple[int, ...]) -> PartialPartition:
+    """Set p's fields unchecked, with no arc set kept yet."""
+    object.__setattr__(p, "n", n)
+    object.__setattr__(p, "labels", labels)
+    object.__setattr__(p, "_enhanced", None)
+    return p
+
+
+def _trusted(n: int, labels: tuple[int, ...]) -> PartialPartition:
+    """The partition with these labels, unchecked: ``from_blocks``, ``forward``
+    and ``reverse`` check their input and build restricted-growth labels."""
+    return _fill(object.__new__(PartialPartition), n, labels)
 
 
 def from_blocks(n: int, blocks: Sequence[Sequence[int]]) -> PartialPartition:
@@ -126,7 +146,7 @@ def from_blocks(n: int, blocks: Sequence[Sequence[int]]) -> PartialPartition:
     for rank, block in enumerate(sorted(blocks, key=min), start=1):
         for e in block:
             labels[e - 1] = rank
-    return PartialPartition(n, tuple(labels))
+    return _trusted(n, tuple(labels))
 
 
 def parse_text(text: str) -> PartialPartition:
@@ -141,7 +161,7 @@ def parse_text(text: str) -> PartialPartition:
     if not body:
         return from_blocks(n, [])
     try:
-        blocks = [[int(e) for e in part.split(",")] for part in body.split("/")]
+        blocks = [list(map(int, part.split(","))) for part in body.split("/")]
     except ValueError:
         raise ParseError(f"bad element in partition text {text!r}") from None
     return from_blocks(n, blocks)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -173,6 +175,48 @@ def oracle_forward(p):
     for e in range(1, n1 + 1):
         groups.setdefault(root(e), []).append(e)
     return from_blocks(n1, list(groups.values()))
+
+
+def _checked(p):
+    """p rebuilt by the validating constructor, which raises on labels that
+    are not restricted-growth on [p.n]."""
+    rebuilt = PartialPartition(p.n, p.labels)
+    assert type(p.labels) is tuple and p._enhanced is None
+    return rebuilt
+
+
+class TestTrustedConstructor:
+    """from_blocks, forward and reverse skip the constructor's check of
+    their labels; each of their results must pass it."""
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_every_small_partition(self, n):
+        for p in enumerate_partial(n):
+            built = from_blocks(n, p.blocks()[::-1])
+            q = forward(p)
+            back = reverse(q)
+            for r in (built, q, back):
+                assert _checked(r) == r
+            assert built == back == p
+
+    def test_seeded_witness_size_inputs(self):
+        rng = random.Random(21)
+        for _ in range(4000):
+            n = rng.randint(12, 19)
+            blocks = []
+            for e in range(1, n + 1):
+                if rng.random() < 0.25:
+                    continue
+                i = rng.randint(0, len(blocks))
+                if i == len(blocks):
+                    blocks.append([])
+                blocks[i].append(e)
+            rng.shuffle(blocks)
+            p = from_blocks(n, blocks)
+            q = forward(p)
+            for r in (p, q, reverse(q)):
+                assert _checked(r) == r
+            assert reverse(q) == p
 
 
 class TestOracle:

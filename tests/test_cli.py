@@ -225,7 +225,7 @@ class TestMap:
             2, "", "error: k is capped at 8, got 9\n"
         )
 
-    def test_witness_table_searches_once_per_kind(self, capsys, monkeypatch):
+    def test_witness_table_walks_once_per_side(self, capsys, monkeypatch):
         calls = []
         walk = crossings._walk
 
@@ -235,8 +235,8 @@ class TestMap:
 
         monkeypatch.setattr(crossings, "_walk", counted)
         code, _, _ = run(capsys, "map", "--input", PAPER_PI, "--witnesses", "4")
-        # One walk per side and kind answers every k.
-        assert code == 0 and len(calls) == 2 * 2
+        # One walk per side yields both kinds and answers every k.
+        assert code == 0 and len(calls) == 2
 
     @pytest.mark.parametrize("argv, calls", [((PAPER_PI,), 1), ((PAPER_PI_HAT, "--reverse"), 0)])
     def test_witness_table_maps_once(self, capsys, monkeypatch, argv, calls):
@@ -426,6 +426,13 @@ class TestFlagRanges:
     )
     def test_out_of_range_exit_2(self, capsys, argv, err):
         assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
+    def test_negative_n_has_one_wording(self, capsys):
+        # Counting runs and enumeration report a negative n through the one
+        # ground-set check, partition._check_n.
+        err = "error: n must be in 0..20, got -1\n"
+        assert run(capsys, "count", "--k", "3", "--n", "-1", "--family", "C") == (2, "", err)
+        assert run(capsys, "enumerate", "--n", "-1") == (2, "", err)
 
     def test_bad_colour_writes_no_file(self, capsys, tmp_path):
         out_file = tmp_path / "fig.svg"

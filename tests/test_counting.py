@@ -236,7 +236,7 @@ class TestIdentity:
         assert r.lhs == r.rhs == 202 and r.rhs_direct == 0 and not r.holds
 
     def test_negative_n(self):
-        with pytest.raises(OutOfRange, match="^n must be >= 0, got -1$"):
+        with pytest.raises(OutOfRange, match=r"^n must be in 0\.\.19, got -1$"):
             verify_identity(3, -1)
         with pytest.raises(InvalidK):
             verify_identity(0, -1)

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from crossmap import crossings
 from crossmap.arcs import Arc, ArcSet, CLASSICAL, ENHANCED, arcs_classical, arcs_enhanced
 from crossmap.crossings import (
     CROSSING,
@@ -200,6 +201,24 @@ class TestWalk:
             fresh = ArcSet(a.mode, a.arcs)
             assert not fresh._walks
             assert a == fresh and hash(a) == hash(fresh) and repr(a) == repr(fresh)
+
+    @pytest.mark.parametrize("mode", [CLASSICAL, ENHANCED])
+    def test_one_count_fills_both_kinds(self, mode, monkeypatch):
+        walks = []
+        walk = crossings._walk
+        monkeypatch.setattr(crossings, "_walk", lambda *args: walks.append(args) or walk(*args))
+        for n in range(7):
+            for i, p in enumerate(enumerate_partial(n)):
+                for a in (arcs_enhanced(p), arcs_classical(p)):
+                    del walks[:]
+                    count_k_witnesses(a, 1, (CROSSING, NESTING)[i % 2], mode)
+                    assert set(a._walks) == {(CROSSING, mode), (NESTING, mode)}
+                    # Every k of both kinds now reads that one walk.
+                    for kind, finder in ((CROSSING, find_k_crossing), (NESTING, find_k_nesting)):
+                        for k in range(1, MAX_K + 1):
+                            assert count_k_witnesses(a, k, kind, mode) == oracle_count(a, k, kind, mode)
+                            assert finder(a, k, mode) == oracle_find(a, k, kind, mode)
+                    assert len(walks) == 1
 
 
 def _pairwise_witness(arcs, kind, mode):

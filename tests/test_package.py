@@ -91,6 +91,21 @@ def test_each_cap_is_compared_in_one_place(constant, place):
     _assert_only_inside(_comparisons_of(constant), [place])
 
 
+def _trusted_calls(tree: ast.AST) -> list:
+    """The calls of ``partition._trusted`` under ``tree``."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call) and _name(node.func) == "_trusted"]
+
+
+def test_only_three_builders_skip_the_label_check():
+    # from_blocks, forward and reverse check their own input and build
+    # restricted-growth labels by construction; every other partition goes
+    # through the validating constructor.
+    _assert_only_inside(
+        _trusted_calls,
+        [("partition.py", "from_blocks"), ("bijection.py", "forward"), ("bijection.py", "reverse")],
+    )
+
+
 VALUE_METHODS = ("__eq__", "__hash__", "__repr__", "__reduce__", "__setattr__", "__delattr__")
 
 
