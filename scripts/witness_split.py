@@ -14,10 +14,13 @@ on frame hits after the first.
 Stages, in request order:
 
 - ``parse_text``: the input text to a partition p
-- ``forward``: p to its image q
+- ``forward``: p's label scan, which builds the enhanced arc set kept on p,
+  and the arc shift of those arcs to the image q
 - ``to_text``: the image's text
-- ``reverse``: q back to p
-- ``two arc sets``: p's enhanced and q's classical arc set
+- ``reverse``: q's label scan, which builds the enhanced arc set kept on
+  q, and the shift of its arcs back to p
+- ``two arc sets``: p's enhanced arc set, a memo read, and q's classical
+  one, the memo read plus the filter that drops q's loops
 - ``witness walks``: the first ``count_k_witnesses`` per side and kind,
   which walks the arc set
 - ``table reads``: every count and find of the ``map --witnesses 4`` table

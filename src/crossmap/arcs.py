@@ -65,8 +65,8 @@ class ArcSet(_Record):
 
 
 def _fill(a: ArcSet, mode: str, arcs: tuple[Arc, ...]) -> ArcSet:
-    """Set a's fields unchecked: ``arcs_classical`` and ``arcs_enhanced``
-    pass arcs that ``_arcs`` built sorted and valid.
+    """Set a's fields unchecked: ``arcs_enhanced`` passes the sorted, valid
+    arcs of ``_arcs``, and ``arcs_classical`` those of them that are no loop.
 
     ``crossings`` keeps its witness walks per (kind, mode) in ``_walks``;
     the arcs never change, so the memo lives as long as they do.  It is no
@@ -108,8 +108,10 @@ def _arcs(labels: Sequence[int], enhanced: bool) -> tuple[Arc, ...]:
 
 
 def arcs_classical(p: PartialPartition) -> ArcSet:
-    """One arc per consecutive pair within a block; no loops."""
-    return _fill(object.__new__(ArcSet), CLASSICAL, _arcs(p.labels, False))
+    """p's enhanced arcs without their loops, read from the arc set kept on p.
+    For p = forward(s) they are the arc shift of s: (x, y) becomes (x, y+1)."""
+    arcs = tuple([a for a in arcs_enhanced(p).arcs if a[0] != a[1]])
+    return _fill(object.__new__(ArcSet), CLASSICAL, arcs)
 
 
 def arcs_enhanced(p: PartialPartition) -> ArcSet:

@@ -1,25 +1,22 @@
 """The bijection between partitions of subsets of [n] and partitions of [n+1].
 
-Forward: every pair v < w consecutive in a block merges v with w+1 in the
-image; every singleton u merges u with u+1; untouched vertices of [n+1]
-stay singletons.  In arc terms, each enhanced arc (x, y) of the source
-becomes the classical arc (x, y+1) of the image, which is why enhanced
-k-crossings (and k-nestings) map onto classical ones.
+It is the arc shift: each enhanced arc (x, y) of the source, a loop (u, u)
+on every singleton, becomes the classical arc (x, y+1) of the image, whose
+other elements stay singletons; ``reverse`` shifts (x, z) back to (x, z-1).
+So enhanced k-crossings (and k-nestings) map onto classical ones.
 
-Both directions run in O(n) on a label-array core: they fill ``succ[x]``,
-the next element of x's block in the result (x itself at a block's end, 0
-when x is absent), and label each chain from its smallest element, which is
-restricted growth by construction: the public maps check their input and
-wrap those labels unchecked (``partition._trusted``).  ``_reverse_keys`` serves
-``bell-check``: one depth-first search over all partitions of [m] keeps the
-integer code of each reverse image's predecessor form up to date as it goes
-and sets that code's bit in a bitmap.
+Both maps shift the enhanced arc list kept on their input into ``succ[x]``,
+the next element of x's block in the result (x at a block's end, 0 when x
+is absent), and label each chain from its smallest element: restricted
+growth by construction, so they wrap those labels unchecked
+(``partition._trusted``).  ``_reverse_keys`` serves ``bell-check``: one
+depth-first search over all partitions of [m] keeps the integer code of
+each reverse image's predecessor form up to date as it goes and sets that
+code's bit in a bitmap.
 """
 from __future__ import annotations
 
-from typing import Sequence
-
-from .arcs import Arc, CLASSICAL, ENHANCED, _new
+from .arcs import Arc, CLASSICAL, ENHANCED, _new, arcs_enhanced
 from .crossings import CrossingWitness
 from .errors import OutOfRange
 from .partition import PartialPartition, _check_n, _trusted, require_full
@@ -37,8 +34,7 @@ def _from_successors(succ: list[int], n: int) -> tuple[int, ...]:
             while succ[y] != y:
                 y = succ[y]
                 labels[y] = blocks
-    del labels[0]
-    return tuple(labels)
+    return tuple(labels[1:])
 
 
 def image_n(p: PartialPartition) -> int:
@@ -51,27 +47,9 @@ def forward(p: PartialPartition) -> PartialPartition:
     """Map a partition of a subset of [n] to a full partition of [n+1]."""
     n = image_n(p)
     succ = list(range(n + 1))
-    last = [0] * n  # p has at most n - 1 blocks
-    for e, v in enumerate(p.labels, start=1):
-        if v:
-            # a < e consecutive give a -> e+1; a first element u gets u -> u+1,
-            # which stands only if u stays a singleton.
-            succ[last[v] or e] = e + 1
-            last[v] = e
+    for x, y in arcs_enhanced(p).arcs:  # a loop (u, u) joins u to u + 1
+        succ[x] = y + 1
     return _trusted(n, _from_successors(succ, n))
-
-
-def _reverse_labels(labels: Sequence[int]) -> tuple[int, ...]:
-    """Labels of the reverse image of the full partition of [m] with these labels, m >= 1."""
-    m = len(labels)
-    succ = [0] * m
-    last = [0] * (m + 1)  # last[v]: the last element seen so far in block v <= m
-    for e, v in enumerate(labels, start=1):
-        if last[v]:  # a < e consecutive give a -> e-1; a unit pair a loop
-            succ[last[v]] = e - 1
-            succ[e - 1] = e - 1  # e-1's own successor, if any, comes later
-        last[v] = e
-    return _from_successors(succ, m - 1)
 
 
 def _reverse_keys(m: int, seen: bytearray) -> int:
@@ -135,7 +113,13 @@ def reverse(q: PartialPartition) -> PartialPartition:
     require_full(q)
     if q.n == 0:
         raise OutOfRange("reverse needs a partition of [n+1] with n >= 0, got one of [0]")
-    return _trusted(q.n - 1, _reverse_labels(q.labels))
+    succ = [0] * q.n
+    for x, z in arcs_enhanced(q).arcs:
+        # Loops (q's singletons) have no preimage.  z - 1 is present and ends
+        # its block unless it starts an arc, which comes later: arcs are sorted.
+        if x != z:
+            succ[x] = succ[z - 1] = z - 1
+    return _trusted(q.n - 1, _from_successors(succ, q.n - 1))
 
 
 def witness_forward(w: CrossingWitness) -> CrossingWitness:

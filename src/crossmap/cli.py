@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success / all checks hold, 1 verification failure, 2 usage
-error, 3 budget or overflow, 4 network failure.
+error, 3 budget or overflow, 4 network failure, 141 stdout closed early
+(128 + SIGPIPE, as a shell reports it).
 
 ``json``, ``oeis`` and ``diagram`` serve only some commands, which import
 them when they run, so every other command starts without them.
@@ -31,6 +32,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_NETWORK = 4
+EXIT_PIPE = 141
 
 #: Computed column and default check range for each bundled OEIS id.
 OEIS_CHECKS = {
@@ -241,7 +243,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        import os
+
+        # Python flushes stdout once more at exit; let that write go nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (OutOfBudget, Overflow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -9,6 +9,7 @@ lexicographically for deterministic enumeration (0 sorts before 1).
 """
 from __future__ import annotations
 
+import re
 from typing import Iterator, Sequence
 
 from .errors import DuplicateElement, EmptyBlock, NotFull, OutOfRange, ParseError
@@ -149,22 +150,24 @@ def from_blocks(n: int, blocks: Sequence[Sequence[int]]) -> PartialPartition:
     return _trusted(n, tuple(labels))
 
 
+#: The text grammar in ASCII digits; ``int`` alone would also take signs,
+#: underscores, inner spaces and non-ASCII digits.
+_TEXT = re.compile(r"([0-9]+):([0-9]+(?:[,/][0-9]+)*)?")
+
+
 def parse_text(text: str) -> PartialPartition:
     """Parse the ``n:elems/elems/...`` grammar used by the CLI and fixtures."""
-    head, sep, body = text.strip().partition(":")
-    if not sep:
-        raise ParseError(f"missing ':' in partition text {text!r}")
-    try:
-        n = int(head)
-    except ValueError:
-        raise ParseError(f"bad ambient size {head!r}") from None
-    if not body:
-        return from_blocks(n, [])
-    try:
-        blocks = [list(map(int, part.split(","))) for part in body.split("/")]
-    except ValueError:
-        raise ParseError(f"bad element in partition text {text!r}") from None
-    return from_blocks(n, blocks)
+    match = _TEXT.fullmatch(text.strip())
+    if match is None:
+        head, sep, _ = text.strip().partition(":")
+        if not sep:
+            raise ParseError(f"missing ':' in partition text {text!r}")
+        if not _TEXT.fullmatch(head + ":"):
+            raise ParseError(f"bad ambient size {head!r}")
+        raise ParseError(f"bad element in partition text {text!r}")
+    head, body = match.groups()
+    blocks = [list(map(int, part.split(","))) for part in body.split("/")] if body else []
+    return from_blocks(int(head), blocks)
 
 
 def _iter_labels(n: int, partial: bool) -> Iterator[list[int]]:

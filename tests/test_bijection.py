@@ -178,25 +178,25 @@ def oracle_forward(p):
 
 
 def _checked(p):
-    """p rebuilt by the validating constructor, which raises on labels that
-    are not restricted-growth on [p.n]."""
-    rebuilt = PartialPartition(p.n, p.labels)
+    """p, checked as soon as it is built: it holds no arc set yet, and the
+    validating constructor, which raises on labels that are not
+    restricted-growth on [p.n], rebuilds it unchanged."""
     assert type(p.labels) is tuple and p._enhanced is None
-    return rebuilt
+    assert PartialPartition(p.n, p.labels) == p
+    return p
 
 
 class TestTrustedConstructor:
     """from_blocks, forward and reverse skip the constructor's check of
-    their labels; each of their results must pass it."""
+    their labels; each of their results must pass it.  The maps keep an
+    arc set on their input, so each result is checked before it becomes one."""
 
     @pytest.mark.parametrize("n", range(8))
     def test_every_small_partition(self, n):
         for p in enumerate_partial(n):
-            built = from_blocks(n, p.blocks()[::-1])
-            q = forward(p)
-            back = reverse(q)
-            for r in (built, q, back):
-                assert _checked(r) == r
+            built = _checked(from_blocks(n, p.blocks()[::-1]))
+            q = _checked(forward(p))
+            back = _checked(reverse(q))
             assert built == back == p
 
     def test_seeded_witness_size_inputs(self):
@@ -212,11 +212,9 @@ class TestTrustedConstructor:
                     blocks.append([])
                 blocks[i].append(e)
             rng.shuffle(blocks)
-            p = from_blocks(n, blocks)
-            q = forward(p)
-            for r in (p, q, reverse(q)):
-                assert _checked(r) == r
-            assert reverse(q) == p
+            p = _checked(from_blocks(n, blocks))
+            q = _checked(forward(p))
+            assert _checked(reverse(q)) == p
 
 
 class TestOracle:

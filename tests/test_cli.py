@@ -90,6 +90,21 @@ class TestEnumerate:
             main(["enumerate", "--n", "notanumber"])
         assert exc.value.code == 2
 
+    def test_closed_stdout_exits_141_quietly(self):
+        # As in ``crossmap enumerate --n 9 | head -1``: the reader takes one
+        # line of 21147 and closes the pipe.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "crossmap.cli", "enumerate", "--n", "9"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert child.stdout.readline() == b"9:1,2,3,4,5,6,7,8,9\n"
+        child.stdout.close()
+        assert child.stderr.read() == b""
+        assert child.wait(timeout=60) == cli.EXIT_PIPE == 141
+
 
 class TestCount:
     def test_c3_n6(self, capsys):

@@ -25,7 +25,7 @@ from crossmap.errors import InvalidK, Overflow, OutOfBudget, OutOfRange
 from crossmap.arcs import CLASSICAL, ENHANCED, arcs_classical, arcs_enhanced
 from crossmap.crossings import max_crossing_number, max_nesting_number
 from crossmap.oeis import bundled
-from crossmap.bijection import _reverse_keys, _reverse_labels
+from crossmap.bijection import _reverse_keys, reverse
 from crossmap.partition import _partial_keys, enumerate_full, enumerate_partial, parse_text
 
 
@@ -280,7 +280,7 @@ class TestEigensequence:
 
     def test_enumeration_route_catches_a_missed_partition(self, monkeypatch):
         real = counting._reverse_keys
-        first = form_code(_reverse_labels(next(enumerate_full(7)).labels))
+        first = form_code(reverse(next(enumerate_full(7))).labels)
 
         def skips_its_leaf(m, seen):
             count = real(m, seen)
@@ -448,7 +448,7 @@ class TestPredecessorForms:
         # m = 1 reaches the search's plain leaf: one visit, bit 0 alone.
         seen = bytearray((math.factorial(m) + 7) // 8)
         assert _reverse_keys(m, seen) == popcount(seen) == bell(m)
-        want = [form_code(_reverse_labels(q.labels)) for q in enumerate_full(m)]
+        want = [form_code(reverse(q).labels) for q in enumerate_full(m)]
         assert set_bits(seen) == sorted(want)
 
     @pytest.mark.parametrize("n", range(9))

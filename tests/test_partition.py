@@ -144,6 +144,13 @@ class TestText:
             parse_text("3:1,x")
         with pytest.raises(ParseError):
             parse_text("x:1")
+        # int() takes all of these; the grammar takes ASCII digits alone.
+        for text in ("1_0:1", "３:1", "3:1,+2", "3: 1,2"):
+            with pytest.raises(ParseError):
+                parse_text(text)
+
+    def test_outer_whitespace_is_stripped(self):
+        assert parse_text(" 3:1,2 \n").to_text() == "3:1,2"
 
     def test_roundtrip_all_n4(self):
         for p in enumerate_partial(4):
