@@ -14,10 +14,11 @@ The tableau walk is crossmap.counting._walk, which counts closed walks of
 every length up to n on Young diagrams with at most k-1 rows, so one walk
 per sequence gives all its terms.  It is also the route behind count_C and
 count_E, so the A108304 and A108307 snapshots are not independent of those
-functions; the package's enumeration route (_count_enum, used by
-count_table and oeis-check) is.  With k=2 the walk must reproduce Catalan
-and Motzkin; run with --check to re-verify it against enumeration for
-every n <= 12 (slow: about 2.5 minutes on a 2-CPU VM with Python 3.11).
+functions; the package's enumeration route is.  Its one entry,
+_count_cached, also serves count --parts N > 1, count_table and oeis-check.
+With k=2 the walk must reproduce Catalan and Motzkin; run with --check to
+re-verify it against enumeration for every n <= 12 (slow: about 2.5
+minutes on a 2-CPU VM with Python 3.11).
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ DATA_DIR = SRC / "crossmap" / "data"
 TERMS = 16
 
 sys.path.insert(0, str(SRC))
-from crossmap.counting import _count_enum, _walk  # noqa: E402
+from crossmap.counting import _count_cached, _walk  # noqa: E402
 
 
 def catalan(nmax: int) -> list[int]:
@@ -90,8 +91,8 @@ def main() -> int:
 
     if args.check:
         for n in range(13):
-            assert _count_enum(3, n, enhanced=False, partial=False) == c3[n], n
-            assert _count_enum(3, n, enhanced=True, partial=False) == e3[n], n
+            assert _count_cached(3, n, False, False) == c3[n], n
+            assert _count_cached(3, n, True, False) == e3[n], n
         print("enumeration cross-check passed for n <= 12")
 
     DATA_DIR.mkdir(parents=True, exist_ok=True)

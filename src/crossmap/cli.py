@@ -148,12 +148,14 @@ def _cmd_oeis_check(args) -> int:
     if args.n_max is not None:
         _at_least("--n-max", args.n_max, 0)
         n_max = args.n_max
+    # Counted first, so a run that fails its checks fetches and caches nothing.
+    table = counting.count_table(family, k, n_max, budget=args.budget)
     ref = (
         oeis.fetch_bfile(args.id, limit=n_max + 1)
         if args.fetch
         else oeis.bundled(args.id)
     )
-    diff = oeis.compare(counting.count_table(family, k, n_max, budget=args.budget), ref)
+    diff = oeis.compare(table, ref)
     if diff.ok:
         print(f"OK ({diff.compared} terms compared)")
         return EXIT_OK
@@ -165,7 +167,7 @@ def _cmd_oeis_check(args) -> int:
 def _cmd_bell_check(args) -> int:
     _at_least("--n-max", args.n_max, 0)
     _at_least("--budget", args.budget, 0)
-    counting._check_upto(None, args.n_max, args.budget, shift=1)
+    counting._check_upto(args.n_max, args.budget, shift=1)
     counting._check_bitmap(args.n_max)
     ok = True
     for n in range(args.n_max + 1):

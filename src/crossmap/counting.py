@@ -13,7 +13,8 @@ exact counts for every m <= n: ``verify-identity`` makes one walk per
 family per run.  Exhaustive enumeration of all partitions is kept as the
 independent route: a count takes it when ``parts > 1``, and
 ``count_table`` (behind ``oeis-check``) always uses it, because the
-bundled A108304/A108307 snapshots come from the same walk.
+bundled A108304/A108307 snapshots come from the same walk.  The route's one
+entry, ``_count_cached``, keeps each count: a process enumerates none twice.
 Enumerated counts and ``distribution_table`` make one pass over the raw
 label arrays of ``_iter_labels``.  ``verify_eigensequence`` enumerates each
 side in one depth-first search that keeps the integer code of every
@@ -21,9 +22,10 @@ partition's predecessor form up to date over a bitmap of (n+1)!/8 bytes:
 ``bijection._reverse_keys`` sets the bit of each reverse image, and
 ``partition._partial_keys`` tests the bit of each partition of a subset.
 None of them builds partition objects, and the searches make no call per
-partition.  Every run checks k, n, the budget (default n <= 12) and the
-ground set in one place, ``_check_budget``, before any work starts; its
-messages name the n and budget given, and a run on [n+1] accepts n <= 19.
+partition.  Every run checks its k, if it has one, then n, the budget
+(default n <= 12) and the ground set in one place, ``_check_budget``,
+before any work starts; its messages name the n and budget given, and a run
+on [n+1] accepts n <= 19.
 ``_check_bitmap`` caps the bitmap's memory at ``BITMAP_CAP``.
 """
 from __future__ import annotations
@@ -79,16 +81,16 @@ def _bell_column() -> tuple[int, ...]:
 
 def bell(n: int) -> int:
     """Bell number via the Bell triangle, independent of enumeration."""
-    if not 0 <= n <= BELL_MAX_N:
-        raise OutOfRange(f"bell is capped at n <= {BELL_MAX_N}")
+    if n < 0:
+        raise OutOfRange(f"n must be >= 0, got {n}")
+    if n > BELL_MAX_N:
+        raise Overflow(f"Bell({n}) exceeds the signed 64-bit range, which ends at Bell({BELL_MAX_N})")
     return _bell_column()[n]
 
 
-def _check_budget(k: Optional[int], n: int, budget: int, shift: int = 0) -> None:
-    """Check k (unless None), the budget, then the ground set [n + shift];
-    a negative n skips the budget and fails ``_check_n``, as everywhere."""
-    if k is not None:
-        _check_k(k)
+def _check_budget(n: int, budget: int, shift: int = 0) -> None:
+    """Check the budget, then the ground set [n + shift], after any k; a
+    negative n skips the budget and fails ``_check_n``, as everywhere."""
     if n > budget and n >= 0:
         raise OutOfBudget(f"n={n} exceeds the enumeration budget {budget}")
     _check_n(n, shift)
@@ -102,15 +104,11 @@ def _check_bitmap(n: int) -> int:
     return size
 
 
-def _check_upto(k: Optional[int], n_max: int, budget: int, shift: int = 0) -> None:
+def _check_upto(n_max: int, budget: int, shift: int = 0) -> None:
     """``_check_budget`` for each n up to n_max in turn, so a bad n_max fails
     at once with the error of the first bad n (n_max itself when negative)."""
     for n in range(min(n_max, 0), n_max + 1):
-        _check_budget(k, n, budget, shift)
-
-
-def _avoids(labels: list[int], k: int, enhanced: bool) -> bool:
-    return _find_crossing(_arcs(labels, enhanced), k, strict=not enhanced) is None
+        _check_budget(n, budget, shift)
 
 
 def _add_corners(shape: tuple[int, ...], rows: int) -> list[tuple[int, ...]]:
@@ -188,22 +186,21 @@ def _walk(k: int, n: int, enhanced: bool, partial: bool) -> list[int]:
 
 
 def _count(k: int, n: int, budget: int, enhanced: bool, partial: bool, parts: int) -> int:
-    _check_budget(k, n, budget)
+    _check_k(k)
+    _check_budget(n, budget)
     if parts < 1:
         raise OutOfRange(f"parts must be >= 1, got {parts}")
     if parts == 1:
         return _walk(k, n, enhanced, partial)[n]
-    return _count_enum(k, n, enhanced, partial)
-
-
-def _count_enum(k: int, n: int, enhanced: bool, partial: bool) -> int:
-    """Avoiders by one pass over every label array of [n]."""
-    return checked(sum(_avoids(labels, k, enhanced) for labels in _iter_labels(n, partial)))
+    return _count_cached(k, n, enhanced, partial)
 
 
 @lru_cache(maxsize=None)
-def _count_cached(k: int, n: int, enhanced: bool) -> int:
-    return _count_enum(k, n, enhanced, partial=False)
+def _count_cached(k: int, n: int, enhanced: bool, partial: bool) -> int:
+    """Avoiders by one pass over every label array of [n], or of its subsets
+    when ``partial``: the enumeration route's one entry, kept per count."""
+    arrays = _iter_labels(n, partial)
+    return checked(sum(_find_crossing(_arcs(x, enhanced), k, not enhanced) is None for x in arrays))
 
 
 def count_C(k: int, n: int, parts: int = 1, budget: int = DEFAULT_BUDGET) -> int:
@@ -256,7 +253,8 @@ def _identity_reports(k: int, n_max: int, budget: int) -> list[IdentityReport]:
 
     Every n passes the checks its own call makes before any walk runs.
     """
-    _check_upto(k, n_max, budget, shift=1)
+    _check_k(k)
+    _check_upto(n_max, budget, shift=1)
     lhs = _walk(k, n_max + 1, enhanced=False, partial=False)
     enhanced = _walk(k, n_max, enhanced=True, partial=False)
     direct = _walk(k, n_max, enhanced=True, partial=True)
@@ -288,7 +286,7 @@ def verify_eigensequence(n: int, budget: int = DEFAULT_BUDGET) -> IdentityReport
     enumerated partitions of subsets of [n].  The set is a bitmap over the
     images' integer codes, of ``_check_bitmap(n)`` bytes.
     """
-    _check_budget(None, n, budget, shift=1)
+    _check_budget(n, budget, shift=1)
     lhs = bell(n + 1)
     terms, rhs = _binomial_transform([bell(i) for i in range(n + 1)])
 
@@ -346,7 +344,7 @@ def _orders(n: int, partial: bool, enhanced: bool) -> dict[str, Counter]:
 
 
 def distribution_table(n: int, k_max: int, budget: int = 9) -> DistributionTable:
-    _check_budget(None, n, budget, shift=1)
+    _check_budget(n, budget, shift=1)
     if k_max < 0:
         raise OutOfRange(f"k_max must be >= 0, got {k_max}")
     part = _orders(n, partial=True, enhanced=True)
@@ -369,5 +367,6 @@ def count_table(family: str, k: Optional[int], n_max: int, budget: int = DEFAULT
         return {n: bell(n) for n in range(n_max + 1)}
     if family not in (FAMILY_C, FAMILY_E):
         raise OutOfRange(f"unknown family {family!r}")
-    _check_upto(k, n_max, budget)
-    return {n: _count_cached(k, n, family == FAMILY_E) for n in range(n_max + 1)}
+    _check_k(k)
+    _check_upto(n_max, budget)
+    return {n: _count_cached(k, n, family == FAMILY_E, False) for n in range(n_max + 1)}

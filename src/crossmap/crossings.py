@@ -58,7 +58,7 @@ class CrossingWitness(NamedTuple):
 
 
 def _check_k(k: int) -> None:
-    if k < 1:
+    if k is None or k < 1:
         raise InvalidK(f"k must be >= 1, got {k}")
     if k > MAX_K:
         raise InvalidK(f"k is capped at {MAX_K}, got {k}")

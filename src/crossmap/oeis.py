@@ -21,7 +21,8 @@ from .errors import NetworkError, NoOverlap, ParseError, UnknownId
 
 BUNDLED_IDS = ("A000108", "A001006", "A108304", "A108307", "A000110")
 
-_ID_RE = re.compile(r"^A\d{6}$")
+#: The whole id, in ASCII digits: ``\d`` takes other digits, ``$`` a final newline.
+_ID = re.compile(r"A[0-9]{6}")
 _BFILE_URL = "https://oeis.org/{id}/b{digits}.txt"
 DEFAULT_TIMEOUT = 10.0
 
@@ -37,7 +38,7 @@ class RefSequence(NamedTuple):
 
 
 def _check_id(oeis_id: str) -> None:
-    if not _ID_RE.match(oeis_id):
+    if not _ID.fullmatch(oeis_id):
         raise UnknownId(f"malformed OEIS id {oeis_id!r}")
 
 

@@ -178,25 +178,20 @@ def _iter_labels(n: int, partial: bool) -> Iterator[list[int]]:
     """
     lo = 0 if partial else 1
     labels = [lo] * n
-    maxes = [0] * (n + 1)  # maxes[i] = max label among positions < i
-    if n == 0:
-        yield labels
-        return
-    i = 0
+    maxes = [0] + labels  # maxes[i] = max label among positions < i
+    i = n - 1
     while True:
-        if i == n - 1:
-            yield labels
-        if i < n - 1 and labels[i] <= maxes[i] + 1:
-            maxes[i + 1] = max(maxes[i], labels[i])
-            i += 1
-            labels[i] = lo
-            continue
+        yield labels
         # backtrack to the rightmost position that can increment
-        while i >= 0 and labels[i] >= maxes[i] + 1:
+        while i >= 0 and labels[i] > maxes[i]:
             i -= 1
         if i < 0:
             return
         labels[i] += 1
+        while i < n - 1:  # descend, each new position at its least label
+            maxes[i + 1] = max(maxes[i], labels[i])
+            i += 1
+            labels[i] = lo
 
 
 def _partial_keys(n: int, seen: bytearray) -> tuple[int, int]:

@@ -363,6 +363,33 @@ class TestOeisCheck:
         monkeypatch.setattr(counting, "_count_cached", boom)
         assert run(capsys, "oeis-check", "--id", "A108304", *argv) == (code, "", err)
 
+    @pytest.mark.parametrize("fetch", [[], ["--fetch"]], ids=["bundled", "fetch"])
+    def test_run_checked_before_any_reference_is_read(self, capsys, monkeypatch, fetch):
+        # A run that fails its budget reads no snapshot and fetches nothing.
+        from crossmap import oeis
+
+        def boom(*args, **kwargs):
+            raise AssertionError("read a reference before the run was checked")
+
+        monkeypatch.setattr(oeis, "bundled", boom)
+        monkeypatch.setattr(oeis, "fetch_bfile", boom)
+        assert run(capsys, "oeis-check", "--id", "A108304", "--n-max", "13", *fetch) == (
+            3, "", "error: n=13 exceeds the enumeration budget 12\n"
+        )
+
+    @pytest.mark.parametrize("fetch", [[], ["--fetch"]], ids=["bundled", "fetch"])
+    def test_bell_past_int64_is_an_overflow(self, capsys, monkeypatch, tmp_path, fetch):
+        monkeypatch.setenv("CROSSMAP_CACHE_DIR", str(tmp_path))
+
+        def boom(url, timeout):
+            raise urllib.error.URLError("offline")
+
+        monkeypatch.setattr(urllib.request, "urlopen", boom)
+        assert run(capsys, "oeis-check", "--id", "A000110", "--n-max", "26", *fetch) == (
+            3, "", "error: Bell(26) exceeds the signed 64-bit range, which ends at Bell(25)\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestBellCheck:
     def test_all_ok(self, capsys):

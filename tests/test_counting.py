@@ -80,9 +80,12 @@ class TestBell:
         assert bell(n) == value
 
     def test_cap(self):
-        assert bell(25) > 0
-        with pytest.raises(OutOfRange):
+        # Bell(26) = 49,631,246,523,618,756,274 lies past 2**63 - 1.
+        assert bell(25) == 4638590332229999353
+        with pytest.raises(Overflow, match=r"Bell\(26\) exceeds the signed 64-bit range"):
             bell(26)
+        with pytest.raises(OutOfRange, match="n must be >= 0, got -1"):
+            bell(-1)
 
 
 class TestCounts:
@@ -108,6 +111,15 @@ class TestCounts:
         with pytest.raises(InvalidK):
             count_C(0, 3)
 
+    def test_every_count_needs_a_k(self):
+        # Only verify_eigensequence and distribution_table run without a k.
+        with pytest.raises(InvalidK):
+            count_C(None, 3)
+        with pytest.raises(InvalidK):
+            count_E(None, 3, parts=2)
+        with pytest.raises(InvalidK):
+            count_table("E", None, 3)
+
     def test_small_n_equals_bell(self):
         # a classical k-crossing needs 2k elements, an enhanced one 2k-1
         for k in (2, 3, 4):
@@ -129,7 +141,7 @@ class TestCounts:
 
 
 def _enumerated(k, n, enhanced, partial=False):
-    return counting._count_enum(k, n, enhanced, partial)
+    return counting._count_cached(k, n, enhanced, partial)
 
 
 def _no_walk(*args):
@@ -193,6 +205,13 @@ class TestWalk:
             count_C(3, 3, parts=0)
         with pytest.raises(OutOfRange, match="parts must be >= 1, got -1"):
             count_partial_E(2, 3, parts=-1)
+
+    def test_count_and_count_table_share_one_entry(self):
+        counting._count_cached.cache_clear()
+        assert count_C(3, 7, parts=2) == 859
+        hits = counting._count_cached.cache_info().hits
+        assert count_table("C", 3, 7)[7] == 859
+        assert counting._count_cached.cache_info().hits == hits + 1
 
     def test_count_table_keeps_enumeration_route(self, monkeypatch):
         counting._count_cached.cache_clear()

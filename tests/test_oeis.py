@@ -214,6 +214,19 @@ class TestFetch:
     def test_cache_dir_env(self):
         assert cache_dir() == self.tmp
 
+    @pytest.mark.parametrize("oeis_id", ["A000108\n", "A\u0661\u0662\u0663\u0664\u0665\u0666"])
+    def test_malformed_id_builds_no_url(self, monkeypatch, oeis_id):
+        # "$" matched before a final newline and "\d" took Arabic-Indic digits.
+        def boom(url, timeout):
+            raise AssertionError(f"fetched {url}")
+
+        monkeypatch.setattr(urllib.request, "urlopen", boom)
+        with pytest.raises(UnknownId, match="malformed OEIS id"):
+            fetch_bfile(oeis_id, limit=5)
+        with pytest.raises(UnknownId, match="malformed OEIS id"):
+            bundled(oeis_id)
+        assert list(self.tmp.iterdir()) == []
+
 
 class TestCompare:
     def test_regression_pass(self):

@@ -91,9 +91,18 @@ def test_each_cap_is_compared_in_one_place(constant, place):
     _assert_only_inside(_comparisons_of(constant), [place])
 
 
-def _trusted_calls(tree: ast.AST) -> list:
-    """The calls of ``partition._trusted`` under ``tree``."""
-    return [node for node in ast.walk(tree) if isinstance(node, ast.Call) and _name(node.func) == "_trusted"]
+def _calls_of(function: str):
+    """A selector of the calls of ``function``."""
+    return lambda tree: [
+        node for node in ast.walk(tree) if isinstance(node, ast.Call) and _name(node.func) == function
+    ]
+
+
+def test_enumeration_route_has_one_entry():
+    # count --parts N > 1, count_table (so oeis-check) and the reference
+    # script count through the one cached function; a second entry would
+    # enumerate the same (k, n, family) twice and drift from it.
+    _assert_only_inside(_calls_of("_find_crossing"), [("counting.py", "_count_cached")])
 
 
 def test_only_three_builders_skip_the_label_check():
@@ -101,7 +110,7 @@ def test_only_three_builders_skip_the_label_check():
     # restricted-growth labels by construction; every other partition goes
     # through the validating constructor.
     _assert_only_inside(
-        _trusted_calls,
+        _calls_of("_trusted"),
         [("partition.py", "from_blocks"), ("bijection.py", "forward"), ("bijection.py", "reverse")],
     )
 

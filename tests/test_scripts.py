@@ -1,3 +1,5 @@
+import importlib.util
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,3 +16,28 @@ def test_witness_split_prints_every_stage():
     stages = ("parse_text", "forward", "to_text", "reverse", "two arc sets", "witness walks",
               "table reads", "render_overlay", "total")
     assert rows == {"stage", *stages}
+
+
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+SAME_OUTPUTS = Path(__file__).resolve().parents[1] / "scripts" / "same_outputs.py"
+SMOKE = [["count", "--k", "3", "--n", "6", "--family", "C"], ["oeis-check", "--id", "A999999"], ["enumerate", "--n", "2"]]
+
+
+def test_same_outputs_reports_the_command_that_differs(tmp_path, capsys):
+    same_outputs = _load(SAME_OUTPUTS)
+    shutil.copytree(same_outputs.ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    assert same_outputs.compare(tmp_path, same_outputs.ROOT, SMOKE) == 0
+    assert capsys.readouterr().out == "3 commands, 0 differ\n"
+
+    cli = tmp_path / "src" / "crossmap" / "cli.py"
+    cli.write_text(cli.read_text().replace("no check defined for", "no check for"))
+    assert same_outputs.compare(tmp_path, same_outputs.ROOT, SMOKE) == 1
+    assert capsys.readouterr().out == (
+        "differs: crossmap oeis-check --id A999999: stderr\n3 commands, 1 differ\n"
+    )
