@@ -17,15 +17,17 @@ bundled A108304/A108307 snapshots come from the same walk.  The route's one
 entry, ``_count_cached``, keeps each count: a process enumerates none twice.
 Enumerated counts and ``distribution_table`` make one pass over the raw
 label arrays of ``_iter_labels``.  ``verify_eigensequence`` enumerates each
-side in one depth-first search that keeps the integer code of every
-partition's predecessor form up to date over a bitmap of (n+1)!/8 bytes:
-``bijection._reverse_keys`` sets the bit of each reverse image, and
-``partition._partial_keys`` tests the bit of each partition of a subset.
-None of them builds partition objects, and the searches make no call per
-partition.  Every run checks its k, if it has one, then n, the budget
-(default n <= 12) and the ground set in one place, ``_check_budget``,
-before any work starts; its messages name the n and budget given, and a run
-on [n+1] accepts n <= 19.
+side in one depth-first search over a bitmap of n! 16-bit words: the
+values of 1..n-1 in a partition's predecessor form pick its word, and the
+value of n its bit (see ``partition._partial_keys``).  Each search keeps
+the word index up to date and handles the leaves below the node that
+places n-1 a word at a time: ``bijection._reverse_keys`` sets the bits of
+the reverse images with one OR per word, and ``partition._partial_keys``
+tests the partitions of subsets with one mask per word.  Neither builds
+partition objects or makes a call per partition.  Every run checks its k,
+if it has one, then n, the budget (default n <= 12) and the ground set in
+one place, ``_check_budget``, before any work starts; its messages name
+the n and budget given, and a run on [n+1] accepts n <= 19.
 ``_check_bitmap`` caps the bitmap's memory at ``BITMAP_CAP``.
 """
 from __future__ import annotations
@@ -47,7 +49,7 @@ INT64_MAX = 2**63 - 1
 DEFAULT_BUDGET = 12
 BELL_MAX_N = 25
 BINOMIAL_MAX_N = 62
-BITMAP_CAP = 2**30  # bytes; admits the bitmap of n = 12 (742 MiB), not n = 13 (10.1 GiB)
+BITMAP_CAP = 2**30  # bytes; admits the bitmap of n = 12, 2 * 12! (914 MiB), not n = 13 (11.6 GiB)
 
 FAMILY_C = "C"
 FAMILY_E = "E"
@@ -97,8 +99,8 @@ def _check_budget(n: int, budget: int, shift: int = 0) -> None:
 
 
 def _check_bitmap(n: int) -> int:
-    """Bytes of the bitmap for n >= 0, one bit per code in [0, (n+1)!), within ``BITMAP_CAP``."""
-    size = (math.factorial(n + 1) + 7) // 8
+    """Bytes of the bitmap for n >= 0, n! words of 16 bits, within ``BITMAP_CAP``."""
+    size = 2 * math.factorial(n)
     if size > BITMAP_CAP:
         raise OutOfBudget(f"n={n} needs a {size}-byte bitmap, over the {BITMAP_CAP}-byte memory cap")
     return size
@@ -284,17 +286,18 @@ def verify_eigensequence(n: int, budget: int = DEFAULT_BUDGET) -> IdentityReport
     of [n+1], and the reverse map, whose images over all partitions of
     [n+1] must be pairwise distinct and, compared as a set, equal to the
     enumerated partitions of subsets of [n].  The set is a bitmap over the
-    images' integer codes, of ``_check_bitmap(n)`` bytes.
+    images' predecessor forms, n! words of 16 bits, ``_check_bitmap(n)``
+    bytes.
     """
     _check_budget(n, budget, shift=1)
     lhs = bell(n + 1)
     terms, rhs = _binomial_transform([bell(i) for i in range(n + 1)])
 
-    # Both sides reach the codes of predecessor forms, which are canonical,
-    # so one bit per code in [0, (n+1)!) marks the set of images.  The
-    # partial side's codes are distinct: when all lhs of them find their bit
-    # set by lhs marks, the images are distinct and are exactly that set.
-    seen = bytearray(_check_bitmap(n))
+    # Both sides reach the bits of predecessor forms, which are canonical,
+    # so one bit per form marks the set of images.  The partial side's bits
+    # are distinct: when all lhs of them find their bit set by lhs marks,
+    # the images are distinct and are exactly that set.
+    seen = memoryview(bytearray(_check_bitmap(n))).cast("H")
     enumerated = _reverse_keys(n + 1, seen)
     partial_total, hits = _partial_keys(n, seen)
     routes = {

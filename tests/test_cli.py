@@ -412,7 +412,7 @@ class TestBellCheck:
     )
     def test_n_max_checked_before_running(self, capsys, monkeypatch, argv, code, err):
         # Running every n below the bad one first would take minutes and,
-        # at n = 12, a 778 MB bitmap; the checks come first.
+        # at n = 12, a 958 MB bitmap; the checks come first.
         def boom(*args, **kwargs):
             raise AssertionError("ran before every n was checked")
 
@@ -420,16 +420,16 @@ class TestBellCheck:
         assert run(capsys, "bell-check", *argv) == (code, "", err)
 
     def test_bitmap_cap_with_a_small_cap(self, capsys, monkeypatch):
-        # n = 6 needs 7!/8 = 630 bytes and n = 7 needs 8!/8 = 5,040.
-        monkeypatch.setattr(counting, "BITMAP_CAP", 1024)
+        # n = 6 needs 2 * 6! = 1,440 bytes and n = 7 needs 2 * 7! = 10,080.
+        monkeypatch.setattr(counting, "BITMAP_CAP", 2048)
         code, out, _ = run(capsys, "bell-check", "--n-max", "6")
         assert code == 0 and len(out.splitlines()) == 7
         assert run(capsys, "bell-check", "--n-max", "7") == (
-            3, "", "error: n=7 needs a 5040-byte bitmap, over the 1024-byte memory cap\n"
+            3, "", "error: n=7 needs a 10080-byte bitmap, over the 2048-byte memory cap\n"
         )
 
     def test_bitmap_cap_within_the_budget(self, capsys, monkeypatch):
-        # n = 13 would take 14!/8 bytes, about 10.9 GB, once n = 0..12 had
+        # n = 13 would take 2 * 13! bytes, about 12.5 GB, once n = 0..12 had
         # run; the cap refuses it before any search starts.
         def boom(*args):
             raise AssertionError("searched before the bitmap cap was checked")
@@ -437,7 +437,7 @@ class TestBellCheck:
         monkeypatch.setattr(counting, "_reverse_keys", boom)
         monkeypatch.setattr(counting, "_partial_keys", boom)
         assert run(capsys, "bell-check", "--budget", "13", "--n-max", "13") == (
-            3, "", "error: n=13 needs a 10897286400-byte bitmap, over the 1073741824-byte memory cap\n"
+            3, "", "error: n=13 needs a 12454041600-byte bitmap, over the 1073741824-byte memory cap\n"
         )
 
 

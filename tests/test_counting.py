@@ -1,5 +1,7 @@
 import gc
+import inspect
 import math
+import textwrap
 import tracemalloc
 from collections import Counter
 
@@ -327,7 +329,7 @@ class TestEigensequence:
 
         def constant_map(m, seen):
             # Visit every partition, but mark only the one image.
-            count = real(m, bytearray(len(seen)))
+            count = real(m, words(m - 1))
             mark(seen, constant)
             return count
 
@@ -338,8 +340,8 @@ class TestEigensequence:
 
     def test_bijection_route_catches_images_outside_the_partial_set(self, monkeypatch):
         # Injective, so as many distinct images as partitions, but some of
-        # them code no partition of a subset of [6]: code 2 gives element 2
-        # the predecessor 1 while 1 is absent.
+        # them code no partition of a subset of [6]: bits 7..15 of a word
+        # would give element 6 a value past 6.
         def own_keys(m, seen):
             for code in range(bell(m)):
                 mark(seen, code)
@@ -351,7 +353,7 @@ class TestEigensequence:
         assert not r.holds
 
     def test_peak_memory_is_the_bitmap(self):
-        # The image bitmap of n = 9 takes 10!/8 bytes, about 454 KB.
+        # The image bitmap of n = 9 takes 2 * 9! bytes, about 726 KB.
         tracemalloc.start()
         try:
             for n in range(10):
@@ -380,17 +382,56 @@ class TestEigensequence:
 
     def test_bitmap_cap(self, monkeypatch):
         # The default cap admits the default budget and nothing past it.
-        assert math.factorial(13) // 8 <= counting.BITMAP_CAP < math.factorial(14) // 8
+        assert 2 * math.factorial(12) <= counting.BITMAP_CAP < 2 * math.factorial(13)
 
         def boom(*args):
             raise AssertionError("searched before the bitmap cap was checked")
 
         monkeypatch.setattr(counting, "_reverse_keys", boom)
-        with pytest.raises(OutOfBudget, match="^n=13 needs a 10897286400-byte bitmap"):
+        with pytest.raises(OutOfBudget, match="^n=13 needs a 12454041600-byte bitmap"):
             verify_eigensequence(13, budget=13)
-        monkeypatch.setattr(counting, "BITMAP_CAP", math.factorial(6) // 8)
-        with pytest.raises(OutOfBudget, match="^n=6 needs a 630-byte bitmap, over the 90-byte"):
+        monkeypatch.setattr(counting, "BITMAP_CAP", 2 * math.factorial(5))
+        with pytest.raises(OutOfBudget, match="^n=6 needs a 1440-byte bitmap, over the 240-byte"):
             verify_eigensequence(6)
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("code + a * f + (own[a] if pending & bit else 0)", "code + a * f"),
+            ("seen[code + a + (own[a] if pending & bit else 0)]", "seen[code + a]"),
+            ("pending | 1 << (e - 1))", "pending)"),
+        ],
+        ids=["inner-node", "child", "opening"],
+    )
+    def test_bijection_route_catches_a_dropped_pending_value(self, monkeypatch, old, new):
+        # A pending a opens its image block once an element follows it, so
+        # the image gives a its own value a; a search that leaves it out
+        # marks forms with a absent.
+        monkeypatch.setattr(counting, "_reverse_keys", mutant(_reverse_keys, old, new))
+        r = verify_eigensequence(6)
+        assert r.routes == {"triangle": True, "enumeration": True, "bijection": False}
+        assert not r.holds
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("place(1, 0, 0, 1 | 1 << n)", "place(1, 0, 0, 1 << n)"),
+            ("place(x + 1, blocks, code, mask | bit)", "place(x + 1, blocks, code, mask)"),
+        ],
+        ids=["n-absent", "pair-with-absent"],
+    )
+    def test_bijection_route_catches_a_mask_without_absent(self, monkeypatch, old, new):
+        # The mask must hold bit 0, for n absent, and the bit of each absent
+        # element b, for the block {b, n}.
+        broken = mutant(_partial_keys, old, new)
+        seen = words(6)
+        _reverse_keys(7, seen)
+        total, hits = broken(6, seen)
+        assert total == bell(7) and hits < total
+        monkeypatch.setattr(counting, "_partial_keys", broken)
+        r = verify_eigensequence(6)
+        assert r.routes == {"triangle": True, "enumeration": True, "bijection": False}
+        assert not r.holds
 
 
 def pred_form(labels):
@@ -405,101 +446,170 @@ def pred_form(labels):
 
 
 def form_code(labels):
-    """The integer code of the predecessor form: sum of v_x * x!."""
-    return sum(v * math.factorial(x) for x, v in enumerate(pred_form(labels), start=1))
+    """The position of the predecessor form in the bitmap, 16 * word + bit:
+    bit v_n of word sum(v_x * n!/(x+1)!) over x < n, with v_b taken as 0
+    when n's block is {b, n}, and bit 0 of word 0 for n = 0."""
+    n = len(labels)
+    key = list(pred_form(labels))
+    if n and 0 < key[-1] < n and key[key[-1] - 1] == key[-1]:
+        key[key[-1] - 1] = 0
+    word = sum(v * math.factorial(n) // math.factorial(x + 1) for x, v in enumerate(key[:-1], start=1))
+    return 16 * word + (key[-1] if n else 0)
+
+
+def words(n, spare=0):
+    """A zeroed bitmap for n, n! words of 16 bits, with ``spare`` more words."""
+    return memoryview(bytearray(2 * (math.factorial(n) + spare))).cast("H")
 
 
 def mark(seen, code):
-    seen[code >> 3] |= 1 << (code & 7)
+    seen[code >> 4] |= 1 << (code & 15)
 
 
 def clear(seen, code):
-    seen[code >> 3] &= ~(1 << (code & 7))
+    seen[code >> 4] &= ~(1 << (code & 15))
 
 
-def bitmap(codes, size):
-    """A bitmap of ``size`` bytes with the bits of ``codes`` set."""
-    seen = bytearray(size)
+def bitmap(codes, n):
+    """The bitmap for n with the bits of ``codes`` set."""
+    seen = words(n)
     for code in codes:
         mark(seen, code)
     return seen
 
 
 def set_bits(seen):
-    """The codes whose bits are set, in increasing order."""
-    return [8 * i + b for i, byte in enumerate(seen) if byte for b in range(8) if byte >> b & 1]
+    """The positions whose bits are set, in increasing order."""
+    return [16 * i + b for i, word in enumerate(seen) if word for b in range(16) if word >> b & 1]
 
 
 def popcount(seen):
-    return int.from_bytes(seen, "little").bit_count()
+    return sum(word.bit_count() for word in seen)
 
 
 class Probe:
-    """A stand-in bitmap that records the code of every bit tested,
-    8 * i + s for ``seen[i] >> s``, and reads each bit as set."""
+    """A stand-in bitmap that records the position of every bit tested,
+    16 * i + b for each bit b of the mask in ``seen[i] & mask``, and reads
+    each bit as set."""
 
     def __init__(self):
         self.codes = []
 
     def __getitem__(self, i):
-        return ProbeByte(self.codes, i)
+        return ProbeWord(self.codes, i)
 
 
-class ProbeByte:
+class ProbeWord:
     def __init__(self, codes, i):
         self.codes = codes
         self.i = i
 
-    def __rshift__(self, s):
-        self.codes.append(8 * self.i + s)
-        return 1
+    def __and__(self, mask):
+        self.codes.extend(16 * self.i + b for b in range(mask.bit_length()) if mask >> b & 1)
+        return mask
+
+
+def in_bounds(n, reverse_keys=_reverse_keys, partial_keys=_partial_keys):
+    """Whether the reverse search for n + 1 writes only bits 0..n of words
+    0..n! - 1, and the partial search for n finds every bit it tests when
+    exactly those are set.  A spare word past the bitmap catches a word
+    index past the end, or -1, which would wrap to the last word."""
+    size = math.factorial(n)
+    seen = words(n, spare=1)
+    reverse_keys(n + 1, seen)
+    low = words(n, spare=1)
+    for i in range(size):
+        low[i] = (2 << n) - 1
+    return seen[size] == 0 and max(seen) < 2 << n, partial_keys(n, low) == (bell(n + 1), bell(n + 1))
+
+
+def mutant(func, old, new):
+    """func rebuilt from its source with the one ``old`` in it replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(func))
+    assert source.count(old) == 1, old
+    namespace = dict(func.__globals__)
+    exec(source.replace(old, new), namespace)
+    return namespace[func.__name__]
 
 
 class TestPredecessorForms:
     def test_paper_example(self):
-        # 9:1,4,7,9/2,5/3/6, element 8 absent
+        # 9:1,4,7,9/2,5/3/6, element 8 absent; word place values 9!/(x+1)!
         labels = parse_text("9:1,4,7,9/2,5/3/6").labels
         assert pred_form(labels) == bytes([1, 2, 3, 1, 2, 6, 4, 0, 7])
-        assert form_code(labels) == 1 + 2 * 2 + 3 * 6 + 1 * 24 + 2 * 120 + 6 * 720 + 4 * 5040 + 7 * 362880
+        word = 1 * 181440 + 2 * 60480 + 3 * 15120 + 1 * 3024 + 2 * 504 + 6 * 72 + 4 * 9 + 0 * 1
+        assert form_code(labels) == 16 * word + 7
+        # The block {6, 9} puts 9:1,4,7/2,5/3/6,9 in the word where 6 is absent.
+        labels = parse_text("9:1,4,7/2,5/3/6,9").labels
+        assert pred_form(labels) == bytes([1, 2, 3, 1, 2, 6, 4, 0, 6])
+        word = 1 * 181440 + 2 * 60480 + 3 * 15120 + 1 * 3024 + 2 * 504 + 0 * 72 + 4 * 9 + 0 * 1
+        assert form_code(labels) == 16 * word + 6
 
     @pytest.mark.parametrize("m", range(1, 10))
     def test_reverse_keys_are_the_forms_of_the_reverse_images(self, m):
-        # m = 1 reaches the search's plain leaf: one visit, bit 0 alone.
-        seen = bytearray((math.factorial(m) + 7) // 8)
+        # m = 1 and 2 reach the search's one-word case.
+        seen = words(m - 1)
         assert _reverse_keys(m, seen) == popcount(seen) == bell(m)
         want = [form_code(reverse(q).labels) for q in enumerate_full(m)]
         assert set_bits(seen) == sorted(want)
 
     @pytest.mark.parametrize("n", range(9))
     def test_partial_keys_are_the_forms_of_enumerate_partial(self, n):
-        # n = 0 reaches the search's plain leaf: one visit, code 0.
+        # n = 0 and 1 reach the search's one-word case.
         probe = Probe()
         assert _partial_keys(n, probe) == (bell(n + 1), bell(n + 1))
         assert len(probe.codes) == len(set(probe.codes)) == bell(n + 1)
         forms = [form_code(p.labels) for p in enumerate_partial(n)]
         assert sorted(probe.codes) == sorted(forms)
-        size = (math.factorial(n + 1) + 7) // 8
-        assert _partial_keys(n, bitmap(forms, size)) == (bell(n + 1), bell(n + 1))
+        assert _partial_keys(n, bitmap(forms, n)) == (bell(n + 1), bell(n + 1))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_partial_keys_count_only_true_visits(self, n):
-        # Leaving out element 1 leaves the partitions of subsets of [2..n];
-        # x! is even for x >= 2, so the code is even exactly then.
-        evens = bytearray(b"\x55" * ((math.factorial(n + 1) + 7) // 8))
-        assert _partial_keys(n, evens) == (bell(n + 1), bell(n))
+        # Leaving out element 1 leaves the partitions of subsets of [2..n].
+        # v_1 is the top digit of the word index for n >= 2, so their forms
+        # fill the lower half of the words, but for bit 1, which holds the
+        # block {1, n}; for n = 1, v_1 is the bit itself.
+        seen = words(n)
+        if n == 1:
+            seen[0] = 1
+        else:
+            for i in range(math.factorial(n) // 2):
+                seen[i] = 0xFFFF & ~2
+        assert _partial_keys(n, seen) == (bell(n + 1), bell(n))
 
     @pytest.mark.parametrize("n", range(10))
     def test_codes_index_the_bitmap(self, n):
-        # verify_eigensequence(n) marks and tests bits 0..(n+1)! - 1 only.
-        # A spare byte past the bitmap catches a code past the end, or one
-        # in -8..-1, which would wrap to the last byte.
-        size = math.factorial(n + 1)
-        nbytes = (size + 7) // 8 + 1
-        seen = bytearray(nbytes)
-        _reverse_keys(n + 1, seen)
-        assert int.from_bytes(seen, "little") >> size == 0
-        low = bytearray(((1 << size) - 1).to_bytes(nbytes, "little"))
-        assert _partial_keys(n, low) == (bell(n + 1), bell(n + 1))
+        # verify_eigensequence(n) marks and tests bits 0..n of words
+        # 0..n! - 1 only.
+        assert in_bounds(n) == (True, True)
+
+    @pytest.mark.parametrize(
+        "search, old, new",
+        [
+            (_reverse_keys, "seen[code + a + (own", "seen[code + a + 1 + (own"),
+            (_partial_keys, "seen[code + x] & mask", "seen[code + x + 1] & mask"),
+        ],
+        ids=["reverse-write", "partial-read"],
+    )
+    def test_a_word_offset_off_by_one_is_caught(self, search, old, new):
+        broken = mutant(search, old, new)
+        if search is _reverse_keys:
+            assert in_bounds(5, reverse_keys=broken) == (False, True)
+        else:
+            assert in_bounds(5, partial_keys=broken) == (True, False)
+
+    def test_every_admitted_n_fits_v_n_in_a_word(self):
+        # v_n <= n is a bit of a 16-bit word, so n + 1 <= 16 for every n the
+        # default cap admits; n = 13 is the first it refuses.
+        admitted = []
+        for n in range(20):
+            try:
+                counting._check_bitmap(n)
+            except OutOfBudget:
+                break
+            admitted.append(n)
+        assert admitted == list(range(13))
+        assert max(admitted) + 1 <= 16 and words(0).itemsize == 2
 
 
 class TestDistribution:

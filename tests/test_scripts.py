@@ -18,6 +18,20 @@ def test_witness_split_prints_every_stage():
     assert rows == {"stage", *stages}
 
 
+BELL_SPLIT = Path(__file__).resolve().parents[1] / "scripts" / "bell_split.py"
+
+
+def test_bell_split_prints_every_n():
+    out = subprocess.run(
+        [sys.executable, str(BELL_SPLIT), "--n-max", "6", "--repeat", "1"],
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    rows = [line.split("|")[1:-1] for line in out.splitlines() if line.startswith("| ")]
+    assert [r[0].strip() for r in rows] == ["n", *map(str, range(7))]
+    assert [int(r[3]) for r in rows[1:]] == [2, 2, 4, 12, 48, 240, 1440]
+    assert out.splitlines()[-1].startswith("max RSS: ")
+
+
 def _load(path: Path):
     spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
