@@ -4,8 +4,8 @@
     python3 scripts/bell_split.py --n-max 11 --repeat 3
 
 For each n in 0..N it prints the lower of R timings, in seconds, of
-``bijection._reverse_keys(n + 1, seen)``, which marks the reverse images in
-a fresh bitmap, and of ``partition._partial_keys(n, seen)``, which then
+``counting._reverse_keys(n + 1, seen)``, which marks the reverse images in
+a fresh bitmap, and of ``counting._partial_keys(n, seen)``, which then
 tests every partition of a subset of [n] against it, and the bitmap's size
 in bytes (``counting._check_bitmap(n)``, so an n over the memory cap
 fails before any search).  The last line gives the process's max RSS.
@@ -21,10 +21,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from crossmap.bijection import _reverse_keys  # noqa: E402
-from crossmap.counting import _check_bitmap, bell  # noqa: E402
+from crossmap.counting import _check_bitmap, _partial_keys, _reverse_keys, bell  # noqa: E402
 from crossmap.errors import OutOfBudget  # noqa: E402
-from crossmap.partition import _partial_keys  # noqa: E402
 
 
 def split(n: int, repeat: int) -> tuple[float, float]:

@@ -9,18 +9,14 @@ Both maps shift the enhanced arc list kept on their input into ``succ[x]``,
 the next element of x's block in the result (x at a block's end, 0 when x
 is absent), and label each chain from its smallest element: restricted
 growth by construction, so they wrap those labels unchecked
-(``partition._trusted``).  ``_reverse_keys`` serves ``bell-check``: one
-depth-first search over all partitions of [m] keeps the word index of
-each reverse image's predecessor form up to date as it goes, and the node
-that places m-1 sets the bits of all the images below each of its
-children with one OR on their word.
+(``partition._trusted``).
 """
 from __future__ import annotations
 
 from .arcs import Arc, CLASSICAL, ENHANCED, _new, arcs_enhanced
 from .crossings import CrossingWitness
 from .errors import OutOfRange
-from .partition import PartialPartition, _check_n, _trusted, _weights, require_full
+from .partition import PartialPartition, _check_n, _trusted, require_full
 
 
 def _from_successors(succ: list[int], n: int) -> tuple[int, ...]:
@@ -51,63 +47,6 @@ def forward(p: PartialPartition) -> PartialPartition:
     for x, y in arcs_enhanced(p).arcs:  # a loop (u, u) joins u to u + 1
         succ[x] = y + 1
     return _trusted(n, _from_successors(succ, n))
-
-
-def _reverse_keys(m: int, seen: memoryview) -> int:
-    """Mark the reverse image of every partition of [m], m >= 1, in the
-    bitmap ``seen`` of ``partition._partial_keys``, (m-1)! words of 16
-    bits, and return how many partitions were visited, Bell(m).
-
-    One depth-first search places 2..m in turn (1 opens block 1) and
-    passes the image's word index down, so backtracking undoes it for
-    free.  Placing e after a, the last element of its block so far, gives
-    a -> e-1: e-1's value becomes a (a loop when a = e-1).  If a + 1
-    opened a block, a was absent from the image and now opens an image
-    block: a is pending, and its own value a adds a * w[a] more.  The node
-    that places m-1 also places m, inline.  m opening a block leaves
-    m-1 absent, bit 0; m after a last a sets bit a of the same word, also
-    when a is pending, since a's image block is then {a, m-1}, which the
-    layout keeps in the word where a is absent.  So each child takes one
-    OR for all of its leaves.
-    """
-    if m < 3:  # no element between 1 and m: one word, bit 0 and (m = 2) bit 1
-        seen[0] |= (1 << m) - 1
-        return m
-    top = m - 1
-    w = _weights(top)
-    own = [a * x for a, x in enumerate(w)]  # own[a]: the word offset of v_a = a
-    last = [0, 1] + [0] * (m - 1)  # last[v]: the last element placed in block v
-    leaves = 0
-
-    def place(e: int, blocks: int, code: int, ends: int, pending: int) -> None:
-        # ends: bit 0 (m opens a block) and the bit of each block's last
-        # element; pending: the bit of each last a whose a + 1 opened a block.
-        nonlocal leaves
-        lasts = last[1 : blocks + 1]
-        ends |= 1 << e  # e ends its block in every child
-        if e == top:  # w[e - 1] = 1: the child where e follows a is word code + a
-            for a in lasts:
-                bit = 1 << a
-                seen[code + a + (own[a] if pending & bit else 0)] |= ends ^ bit
-            seen[code] |= ends  # e opens a block
-            # blocks children with blocks + 1 leaves, one with blocks + 2
-            leaves += blocks * (blocks + 1) + blocks + 2
-            return
-        f = w[e - 1]
-        for v, a in enumerate(lasts, start=1):
-            last[v] = e
-            bit = 1 << a
-            c = code + a * f + (own[a] if pending & bit else 0)
-            place(e + 1, blocks, c, ends ^ bit, pending & ~bit)
-            last[v] = a
-        last[blocks + 1] = e
-        place(e + 1, blocks + 1, code, ends, pending | 1 << (e - 1))  # e opens a block
-
-    place(2, 1, 0, 1 | 1 << 1, 0)
-    # place refers to itself; dropping the name frees it (and what it holds)
-    # now rather than in a garbage-collector pass.
-    del place
-    return leaves
 
 
 def reverse(q: PartialPartition) -> PartialPartition:

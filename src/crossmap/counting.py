@@ -16,19 +16,29 @@ independent route: a count takes it when ``parts > 1``, and
 bundled A108304/A108307 snapshots come from the same walk.  The route's one
 entry, ``_count_cached``, keeps each count: a process enumerates none twice.
 Enumerated counts and ``distribution_table`` make one pass over the raw
-label arrays of ``_iter_labels``.  ``verify_eigensequence`` enumerates each
-side in one depth-first search over a bitmap of n! 16-bit words: the
-values of 1..n-1 in a partition's predecessor form pick its word, and the
-value of n its bit (see ``partition._partial_keys``).  Each search keeps
-the word index up to date and handles the leaves below the node that
-places n-1 a word at a time: ``bijection._reverse_keys`` sets the bits of
-the reverse images with one OR per word, and ``partition._partial_keys``
-tests the partitions of subsets with one mask per word.  Neither builds
-partition objects or makes a call per partition.  Every run checks its k,
-if it has one, then n, the budget (default n <= 12) and the ground set in
-one place, ``_check_budget``, before any work starts; its messages name
-the n and budget given, and a run on [n+1] accepts n <= 19.
-``_check_bitmap`` caps the bitmap's memory at ``BITMAP_CAP``.
+label arrays of ``_iter_labels``.
+
+``verify_eigensequence`` checks the reverse map against a bitmap over
+predecessor forms.  The predecessor form of a partition of a subset of
+[n] gives each element x a value v_x: 0 when x is absent, x when x opens
+its block, and otherwise the element just before x in its block.  It is
+canonical, and 0 <= v_x <= x, so v_1..v_{n-1} pick one of n! words by the
+mixed radix of ``_weights`` and v_n <= n < 16 picks a bit of that 16-bit
+word.  One exception: when n's block is {b, n} with b < n, the word
+takes v_b as 0, as if b were absent.  No other form has that bit there,
+since n cannot follow an absent b, and so every form below a search node
+lies in that node's word.  Each side runs one depth-first search that
+keeps the word index up to date and handles the leaves below the node
+that places n-1 a word at a time: ``_reverse_keys`` sets the bits of the
+reverse images with one OR per word, and ``_partial_keys`` tests the
+partitions of subsets with one mask per word.  Neither builds partition
+objects or makes a call per partition.  ``_check_bitmap`` caps the
+bitmap's memory at ``BITMAP_CAP``.
+
+Every run checks its k, if it has one, then n, the budget (default
+n <= 12) and the ground set in one place, ``_check_budget``, before any
+work starts; its messages name the n and budget given, and a run on
+[n+1] accepts n <= 19.
 """
 from __future__ import annotations
 
@@ -39,10 +49,9 @@ from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .arcs import _arcs
-from .bijection import _reverse_keys
 from .crossings import CROSSING, NESTING, _check_k, _find_crossing, _walk as _witness_walk
 from .errors import Overflow, OutOfBudget, OutOfRange
-from .partition import _check_n, _iter_labels, _partial_keys
+from .partition import _check_n, _iter_labels
 
 INT64_MAX = 2**63 - 1
 
@@ -277,6 +286,122 @@ def verify_identity(k: int, n: int, budget: int = DEFAULT_BUDGET) -> IdentityRep
     enhanced-avoiding partitions of subsets of [n].
     """
     return _identity_reports(k, n, budget)[n]
+
+
+def _weights(n: int) -> list[int]:
+    """``w[x]``, for x in [n-1], the place value of v_x in the word index
+    of a predecessor form of [n]: v_1 is most significant and v_x has radix
+    x + 1, so w[n-1] = 1, the word indices fill [0, n!), and
+    w[x] = n!/(x+1)!.  w[0] is unused."""
+    w = [1] * n
+    for x in range(n - 2, 0, -1):
+        w[x] = w[x + 1] * (x + 2)
+    return w
+
+
+def _reverse_keys(m: int, seen: memoryview) -> int:
+    """Mark the reverse image of every partition of [m], m >= 1, in the
+    bitmap ``seen`` for n = m - 1, and return how many partitions were
+    visited, Bell(m).
+
+    One depth-first search places 2..m in turn (1 opens block 1) and
+    passes the image's word index down, so backtracking undoes it for
+    free.  Placing e after a, the last element of its block so far, gives
+    a -> e-1: e-1's value becomes a (a loop when a = e-1).  If a + 1
+    opened a block, a was absent from the image and now opens an image
+    block: a is pending, and its own value a adds a * w[a] more.  The node
+    that places m-1 also places m, inline.  m opening a block leaves
+    m-1 absent, bit 0; m after a last a sets bit a of the same word, also
+    when a is pending, since a's image block is then {a, m-1}, which the
+    layout keeps in the word where a is absent.  So each child takes one
+    OR for all of its leaves.
+    """
+    if m < 3:  # no element between 1 and m: one word, bit 0 and (m = 2) bit 1
+        seen[0] |= (1 << m) - 1
+        return m
+    top = m - 1
+    w = _weights(top)
+    own = [a * x for a, x in enumerate(w)]  # own[a]: the word offset of v_a = a
+    last = [0, 1] + [0] * (m - 1)  # last[v]: the last element placed in block v
+    leaves = 0
+
+    def place(e: int, blocks: int, code: int, ends: int, pending: int) -> None:
+        # ends: bit 0 (m opens a block) and the bit of each block's last
+        # element; pending: the bit of each last a whose a + 1 opened a block.
+        nonlocal leaves
+        lasts = last[1 : blocks + 1]
+        ends |= 1 << e  # e ends its block in every child
+        if e == top:  # w[e - 1] = 1: the child where e follows a is word code + a
+            for a in lasts:
+                bit = 1 << a
+                seen[code + a + (own[a] if pending & bit else 0)] |= ends ^ bit
+            seen[code] |= ends  # e opens a block
+            # blocks children with blocks + 1 leaves, one with blocks + 2
+            leaves += blocks * (blocks + 1) + blocks + 2
+            return
+        f = w[e - 1]
+        for v, a in enumerate(lasts, start=1):
+            last[v] = e
+            bit = 1 << a
+            c = code + a * f + (own[a] if pending & bit else 0)
+            place(e + 1, blocks, c, ends ^ bit, pending & ~bit)
+            last[v] = a
+        last[blocks + 1] = e
+        place(e + 1, blocks + 1, code, ends, pending | 1 << (e - 1))  # e opens a block
+
+    place(2, 1, 0, 1 | 1 << 1, 0)
+    # place refers to itself; dropping the name frees it (and what it holds)
+    # now rather than in a garbage-collector pass.
+    del place
+    return leaves
+
+
+def _partial_keys(n: int, seen: memoryview) -> tuple[int, int]:
+    """Test the bit of every partition of a subset of [n] in the bitmap
+    ``seen``, and return how many partitions were visited, Bell(n+1), and
+    how many of their bits were set.
+
+    One depth-first search places 1..n-1 in turn and passes down the word
+    index and the mask of the values n takes in that word: 0 (absent), n
+    (opening a block), the last element of each block of two or more, and
+    each absent element b (the block {b, n}).  The node that places n-1
+    tests each child's word with its mask and counts the hits with
+    ``int.bit_count``, with no call or bit operation per partition.
+    """
+    if n < 2:  # no element before n: one word, v_n absent or (n = 1) opening
+        return n + 1, (seen[0] & (2 << n) - 1).bit_count()
+    top = n - 1
+    w = _weights(n)
+    last = [0] * (n + 1)  # last[v]: the last element placed in block v
+    total = hits = 0
+
+    def place(x: int, blocks: int, code: int, mask: int) -> None:
+        nonlocal total, hits
+        lasts = last[1 : blocks + 1]
+        bit = 1 << x
+        if x == top:  # w[top] = 1: the child where x follows a is word code + a
+            found = (seen[code] & (mask | bit)).bit_count()  # x absent
+            for a in lasts:
+                found += (seen[code + a] & (mask & ~(1 << a) | bit)).bit_count()
+            found += (seen[code + x] & mask).bit_count()  # x opens a block
+            hits += found
+            # blocks + 1 children with blocks + 2 leaves, one with blocks + 3
+            total += (blocks + 1) * (blocks + 2) + blocks + 3
+            return
+        f = w[x]
+        place(x + 1, blocks, code, mask | bit)  # x absent
+        for v, a in enumerate(lasts, start=1):
+            last[v] = x
+            place(x + 1, blocks, code + a * f, mask & ~(1 << a) | bit)
+            last[v] = a
+        last[blocks + 1] = x
+        place(x + 1, blocks + 1, code + x * f, mask)  # x opens a block
+
+    place(1, 0, 0, 1 | 1 << n)
+    # place refers to itself; dropping the name frees it (and what it holds)
+    # now rather than in a garbage-collector pass.
+    del place
+    return total, hits
 
 
 def verify_eigensequence(n: int, budget: int = DEFAULT_BUDGET) -> IdentityReport:

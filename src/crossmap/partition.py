@@ -6,8 +6,6 @@ positive block id otherwise.  Block ids follow the restricted-growth rule,
 so every partition has exactly one encoding and label arrays compare
 lexicographically for deterministic enumeration (0 sorts before 1).
 ``_check_n`` is the one check of every ground set, [n] or [n+1].
-``_partial_keys`` and ``_weights`` define the bitmap of predecessor forms,
-n! words of 16 bits, that ``bell-check`` checks the reverse map against.
 """
 from __future__ import annotations
 
@@ -194,75 +192,6 @@ def _iter_labels(n: int, partial: bool) -> Iterator[list[int]]:
             maxes[i + 1] = max(maxes[i], labels[i])
             i += 1
             labels[i] = lo
-
-
-def _weights(n: int) -> list[int]:
-    """``w[x]``, for x in [n-1], the place value of v_x in the word index
-    of a predecessor form of [n] (see ``_partial_keys``): a mixed radix
-    with v_1 most significant and radix x + 1 for v_x, so w[n-1] = 1, the
-    word indices fill [0, n!), and w[x] = n!/(x+1)!.  w[0] is unused."""
-    w = [1] * n
-    for x in range(n - 2, 0, -1):
-        w[x] = w[x + 1] * (x + 2)
-    return w
-
-
-def _partial_keys(n: int, seen: memoryview) -> tuple[int, int]:
-    """Test the bit of every partition of a subset of [n] in the bitmap
-    ``seen``, n! words of 16 bits, and return how many partitions were
-    visited, Bell(n+1), and how many of their bits were set.
-
-    The predecessor form gives each element x of [n] a value v_x: 0 when x
-    is absent, x when x opens its block, and otherwise the element just
-    before x in its block.  It is canonical, and since 0 <= v_x <= x, a
-    form's bit is bit v_n of word ``sum(v_x * w[x] for x < n)`` with the
-    weights of ``_weights``: one to one into n! words, and v_n <= n < 16.
-    One exception keeps every form below a search node in that node's
-    word: when n's block is {b, n} with b < n, the word takes v_b as 0, as
-    if b were absent.  No other form has that bit there, since n cannot
-    follow an absent b.
-
-    One depth-first search places 1..n-1 in turn and passes down the word
-    index and the mask of the values n takes in that word: 0 (absent), n
-    (opening a block), the last element of each block of two or more, and
-    each absent element b (the block {b, n}).  The node that places n-1
-    tests each child's word with its mask and counts the hits with
-    ``int.bit_count``, with no call or bit operation per partition.
-    """
-    if n < 2:  # no element before n: one word, v_n absent or (n = 1) opening
-        return n + 1, (seen[0] & (2 << n) - 1).bit_count()
-    top = n - 1
-    w = _weights(n)
-    last = [0] * (n + 1)  # last[v]: the last element placed in block v
-    total = hits = 0
-
-    def place(x: int, blocks: int, code: int, mask: int) -> None:
-        nonlocal total, hits
-        lasts = last[1 : blocks + 1]
-        bit = 1 << x
-        if x == top:  # w[top] = 1: the child where x follows a is word code + a
-            found = (seen[code] & (mask | bit)).bit_count()  # x absent
-            for a in lasts:
-                found += (seen[code + a] & (mask & ~(1 << a) | bit)).bit_count()
-            found += (seen[code + x] & mask).bit_count()  # x opens a block
-            hits += found
-            # blocks + 1 children with blocks + 2 leaves, one with blocks + 3
-            total += (blocks + 1) * (blocks + 2) + blocks + 3
-            return
-        f = w[x]
-        place(x + 1, blocks, code, mask | bit)  # x absent
-        for v, a in enumerate(lasts, start=1):
-            last[v] = x
-            place(x + 1, blocks, code + a * f, mask & ~(1 << a) | bit)
-            last[v] = a
-        last[blocks + 1] = x
-        place(x + 1, blocks + 1, code + x * f, mask)  # x opens a block
-
-    place(1, 0, 0, 1 | 1 << n)
-    # place refers to itself; dropping the name frees it (and what it holds)
-    # now rather than in a garbage-collector pass.
-    del place
-    return total, hits
 
 
 def enumerate_full(n: int) -> Iterator[PartialPartition]:

@@ -12,6 +12,8 @@ from crossmap.counting import (
     DEFAULT_BUDGET,
     INT64_MAX,
     IdentityReport,
+    _partial_keys,
+    _reverse_keys,
     bell,
     binomial,
     checked,
@@ -27,8 +29,8 @@ from crossmap.errors import InvalidK, Overflow, OutOfBudget, OutOfRange
 from crossmap.arcs import CLASSICAL, ENHANCED, arcs_classical, arcs_enhanced
 from crossmap.crossings import max_crossing_number, max_nesting_number
 from crossmap.oeis import bundled
-from crossmap.bijection import _reverse_keys, reverse
-from crossmap.partition import _partial_keys, enumerate_full, enumerate_partial, parse_text
+from crossmap.bijection import reverse
+from crossmap.partition import enumerate_full, enumerate_partial, parse_text
 
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]

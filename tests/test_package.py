@@ -105,6 +105,25 @@ def test_enumeration_route_has_one_entry():
     _assert_only_inside(_calls_of("_find_crossing"), [("counting.py", "_count_cached")])
 
 
+def test_bell_check_bitmap_lives_in_counting():
+    # The bitmap's layout (the word index's radix, the 16-bit word and the
+    # rule that a block {b, n} counts b as absent) is one decision: the
+    # weights, both searches and the allocation sit next to their one
+    # caller, verify_eigensequence, and no other module knows them.
+    names = ("_weights", "_reverse_keys", "_partial_keys")
+    defined = sorted(
+        (path.name, node.name)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name in names
+    )
+    assert defined == sorted(("counting.py", name) for name in names)
+    _assert_only_inside(
+        _calls_of("_weights"), [("counting.py", "_reverse_keys"), ("counting.py", "_partial_keys")]
+    )
+    _assert_only_inside(_calls_of("cast"), [("counting.py", "verify_eigensequence")])
+
+
 def test_only_three_builders_skip_the_label_check():
     # from_blocks, forward and reverse check their own input and build
     # restricted-growth labels by construction; every other partition goes
