@@ -56,7 +56,6 @@ from .partition import _check_n, _iter_labels
 INT64_MAX = 2**63 - 1
 
 DEFAULT_BUDGET = 12
-BELL_MAX_N = 25
 BINOMIAL_MAX_N = 62
 BITMAP_CAP = 2**30  # bytes; admits the bitmap of n = 12, 2 * 12! (914 MiB), not n = 13 (11.6 GiB)
 
@@ -82,10 +81,11 @@ def binomial(n: int, i: int) -> int:
 
 @lru_cache(maxsize=None)
 def _bell_column() -> tuple[int, ...]:
-    """Bell(0..BELL_MAX_N), the first column of the Bell triangle; all fit in int64."""
+    """Bell(0), Bell(1), ..., the first column of the Bell triangle, up to
+    the last Bell number inside int64."""
     row, column = [1], [1]
-    for _ in range(BELL_MAX_N):
-        row = list(accumulate(row, initial=row[-1]))  # starts with the last entry above
+    while row[-1] <= INT64_MAX:  # the last entry of a row is the next Bell number
+        row = list(accumulate(row, initial=row[-1]))
         column.append(row[0])
     return tuple(column)
 
@@ -94,9 +94,10 @@ def bell(n: int) -> int:
     """Bell number via the Bell triangle, independent of enumeration."""
     if n < 0:
         raise OutOfRange(f"n must be >= 0, got {n}")
-    if n > BELL_MAX_N:
-        raise Overflow(f"Bell({n}) exceeds the signed 64-bit range, which ends at Bell({BELL_MAX_N})")
-    return _bell_column()[n]
+    column = _bell_column()
+    if n >= len(column):
+        raise Overflow(f"Bell({n}) exceeds the signed 64-bit range, which ends at Bell({len(column) - 1})")
+    return column[n]
 
 
 def _check_budget(n: int, budget: int, shift: int = 0) -> None:
@@ -148,26 +149,17 @@ def _steps(
 ) -> list[tuple[int, tuple[int, ...]]]:
     """Every shape one step leads to from ``shape``, as (cells, shape) pairs.
 
-    Classical: remove a corner or do nothing, then add a corner or do
-    nothing.  Enhanced: one of (nothing, add), (remove, nothing) or (add,
-    remove).  ``partial`` adds a step that keeps the shape, for an element
-    absent from the ground subset.  A shape reached in several ways appears
-    once per way.
+    A step is two half-steps, each adding a corner, removing one or doing
+    nothing: classical removes then adds, enhanced adds then removes.  Of
+    the (nothing, nothing) steps, 1 + partial - enhanced are kept: an
+    enhanced singleton is a loop instead, and ``partial`` adds one for an
+    absent element.  A shape reached in several ways appears once per way.
     """
-    if enhanced:
-        added = _add_corners(shape, rows)
-        targets = added + _remove_corners(shape)
-        for a in added:
-            targets += _remove_corners(a)
-    else:
-        targets = [
-            t
-            for removed in [shape] + _remove_corners(shape)
-            for t in [removed] + _add_corners(removed, rows)
-        ]
-    if partial:
-        targets.append(shape)
-    return [(sum(t), t) for t in targets]
+    add = lambda s: _add_corners(s, rows)
+    first, then = (add, _remove_corners) if enhanced else (_remove_corners, add)
+    ends = [end for mid in [shape] + first(shape) for end in [mid] + then(mid)][1:]
+    ends += [shape] * (1 + partial - enhanced)
+    return [(sum(t), t) for t in ends]
 
 
 def _walk(k: int, n: int, enhanced: bool, partial: bool) -> list[int]:
@@ -280,10 +272,12 @@ def _identity_reports(k: int, n_max: int, budget: int) -> list[IdentityReport]:
 def verify_identity(k: int, n: int, budget: int = DEFAULT_BUDGET) -> IdentityReport:
     """Check that avoiders of [n+1] equal the binomial transform over [n].
 
-    The left side counts full partitions of [n+1] with no classical
-    k-crossing.  The right side is computed two independent ways: the
-    binomial sum over enhanced avoider counts, and a straight count of
-    enhanced-avoiding partitions of subsets of [n].
+    lhs counts partitions of [n+1] with no classical k-crossing, rhs sums
+    binomial(n, i) times the enhanced avoiders of [i], and rhs_direct counts
+    enhanced avoiders on subsets of [n].  All three are ``_walk`` columns and
+    agree for any corner rule: rhs == direct by choosing which partial steps
+    stay, and lhs == direct by regrouping half-steps.  The independent check
+    is enumeration (``count --parts``, ``oeis-check`` and the tests).
     """
     return _identity_reports(k, n, budget)[n]
 

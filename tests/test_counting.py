@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import inspect
 import math
 import textwrap
@@ -52,6 +53,21 @@ WALK_AT_CAP = {
     ],
 }
 
+#: Per (enhanced, partial): the last n at which the walk's column stays
+#: inside int64, for k = 2..8, and the sha256 of repr() of those seven
+#: columns, taken from the walk that built its classical and enhanced steps
+#: by two separate recipes.
+WALK_EDGES = {
+    (False, False): ([35, 27, 25, 25, 25, 25, 25],
+                     "3b4e56d8357ffabe7f7554b037fa85134f0d5b3690b6125f10c75dbb0480bac9"),
+    (True, False): ([44, 28, 25, 25, 25, 25, 25],
+                    "aa678bd904b1a0c3a8deb576dee51104ed964ba638d6ea08b8d76b8c37f6e603"),
+    (True, True): ([34, 26, 24, 24, 24, 24, 24],
+                   "f23e9d3cdf43c3156cdfdf7cf121ef4c391597ed91c171239f97d73ed53d73b1"),
+    (False, True): ([30, 25, 24, 24, 24, 24, 24],
+                    "ed8c428b744c9ff8232b73ae00e553a0cfa094182a2e41eb41f812151525df37"),
+}
+
 
 class TestBinomial:
     def test_values(self):
@@ -63,7 +79,8 @@ class TestBinomial:
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
             binomial(3, 4)
-        with pytest.raises(OutOfRange):
+        # The cap is not the int64 edge: binomial(63, 1) = 63 fits.
+        with pytest.raises(OutOfRange, match=r"^binomial is capped at n <= 62$"):
             binomial(63, 1)
         with pytest.raises(OutOfRange):
             binomial(5, -1)
@@ -86,7 +103,8 @@ class TestBell:
     def test_cap(self):
         # Bell(26) = 49,631,246,523,618,756,274 lies past 2**63 - 1.
         assert bell(25) == 4638590332229999353
-        with pytest.raises(Overflow, match=r"Bell\(26\) exceeds the signed 64-bit range"):
+        assert len(counting._bell_column()) == 26
+        with pytest.raises(Overflow, match=r"^Bell\(26\) exceeds the signed 64-bit range, which ends at Bell\(25\)$"):
             bell(26)
         with pytest.raises(OutOfRange, match="n must be >= 0, got -1"):
             bell(-1)
@@ -172,6 +190,22 @@ class TestWalk:
         column = counting._walk(k, 8, True, True)
         for n in range(9):
             assert count_partial_E(k, n) == column[n] == _enumerated(k, n, enhanced=True, partial=True), n
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_partial_classical_matches_enumeration(self, k):
+        column = counting._walk(k, 8, False, True)
+        for n in range(9):
+            assert column[n] == _enumerated(k, n, enhanced=False, partial=True), n
+
+    @pytest.mark.parametrize("enhanced, partial", list(WALK_EDGES))
+    def test_columns_pinned_to_the_int64_edge(self, enhanced, partial):
+        edges, digest = WALK_EDGES[enhanced, partial]
+        columns = []
+        for k, edge in enumerate(edges, start=2):
+            columns.append(counting._walk(k, edge, enhanced, partial))
+            with pytest.raises(Overflow):
+                counting._walk(k, edge + 1, enhanced, partial)
+        assert hashlib.sha256(repr(columns).encode()).hexdigest() == digest
 
     def test_closed_forms_at_the_ground_set_cap(self):
         # Catalan(20) and Motzkin(20); Bell(20) items would take hours to enumerate
