@@ -29,7 +29,7 @@ OEIS_IDS = ("A000108", "A001006", "A108304", "A108307", "A000110")
 #: Error cases: each fails one of the checks a command makes before it runs.
 ERRORS = """\
 count --k 0 --n 3 --family C
-count --k 3 --n 13 --family C
+count --k 3 --n 13 --family C --parts 2
 count --k 3 --n -1 --family E
 count --k 3 --n 3 --family C --parts 0
 count --k 3 --n 21 --family C --budget 25
@@ -38,9 +38,8 @@ enumerate --n -1
 enumerate --n 21
 enumerate --n 3 --limit -1
 verify-identity --k 0 --n-max 3
-verify-identity --k 3 --n-max 13
 verify-identity --k 3 --n-max -1 --json
-verify-identity --k 3 --n-max 20 --budget 25
+verify-identity --k 3 --n-max 20
 map --input 21:1
 map --input 20:1
 map --input 3:1,+2
@@ -82,6 +81,7 @@ def commands() -> list[list[str]]:
              "--image-color", "#ABCdef"]]
     for k in range(1, 6):
         out += [["verify-identity", "--k", str(k), "--n-max", "9", *json] for json in ([], ["--json"])]
+    out += [["verify-identity", "--k", "3", "--n-max", "13"], ["count", "--k", "3", "--n", "13", "--family", "C"]]
     out += [["bell-check", "--n-max", str(n)] for n in range(11)]
     out += [["count", "--k", str(k), "--n", str(n), "--family", family, "--parts", "2"]
             for family in "CE" for k in range(1, 5) for n in range(11)]

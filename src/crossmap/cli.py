@@ -69,8 +69,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_verify_identity(args) -> int:
     _at_least("--n-max", args.n_max, 0)
-    _at_least("--budget", args.budget, 0)
-    reports = counting._identity_reports(args.k, args.n_max, args.budget)
+    reports = counting._identity_reports(args.k, args.n_max)
     if args.json:
         import json
 
@@ -167,11 +166,8 @@ def _cmd_oeis_check(args) -> int:
 def _cmd_bell_check(args) -> int:
     _at_least("--n-max", args.n_max, 0)
     _at_least("--budget", args.budget, 0)
-    counting._check_upto(args.n_max, args.budget, shift=1)
-    counting._check_bitmap(args.n_max)
     ok = True
-    for n in range(args.n_max + 1):
-        r = counting.verify_eigensequence(n, budget=args.budget)
+    for r in counting._bell_reports(args.n_max, args.budget):
         status = "OK" if r.holds else "FAIL"
         routes = " ".join(f"{name}={'OK' if v else 'FAIL'}" for name, v in r.routes.items())
         print(f"n={r.n} bell={r.lhs} {routes} {status}")
@@ -197,14 +193,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--family", choices=["C", "E"], required=True)
     p.add_argument("--parts", type=int, default=1)
-    p.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET, help="largest n that is enumerated")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("verify-identity", help="check the binomial-transform identity")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_verify_identity)
 
     p = sub.add_parser("map", help="apply the bijection (or its inverse)")
@@ -231,12 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", required=True)
     p.add_argument("--fetch", action="store_true", help="fetch the live b-file instead of the snapshot")
     p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET, help="largest n that is enumerated")
     p.set_defaults(func=_cmd_oeis_check)
 
     p = sub.add_parser("bell-check", help="check the Bell-number fixed point three ways")
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET, help="largest n that is enumerated")
     p.set_defaults(func=_cmd_bell_check)
 
     return parser

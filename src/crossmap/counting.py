@@ -35,10 +35,11 @@ partitions of subsets with one mask per word.  Neither builds partition
 objects or makes a call per partition.  ``_check_bitmap`` caps the
 bitmap's memory at ``BITMAP_CAP``.
 
-Every run checks its k, if it has one, then n, the budget (default
-n <= 12) and the ground set in one place, ``_check_budget``, before any
-work starts; its messages name the n and budget given, and a run on
-[n+1] accepts n <= 19.
+Each resource has one cap, checked before any work starts (after k, if
+the run has one).  The ground set, n <= 20 or n <= 19 on [n+1], is
+``_check_n``'s and alone bounds the walk, whose columns stay in int64 up
+to it.  Enumeration also answers to the n budget (default 12) of
+``_check_budget``, whose messages name the n and budget given.
 """
 from __future__ import annotations
 
@@ -46,7 +47,7 @@ import math
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .arcs import _arcs
 from .crossings import CROSSING, NESTING, _check_k, _find_crossing, _walk as _witness_walk
@@ -56,7 +57,6 @@ from .partition import _check_n, _iter_labels
 INT64_MAX = 2**63 - 1
 
 DEFAULT_BUDGET = 12
-BINOMIAL_MAX_N = 62
 BITMAP_CAP = 2**30  # bytes; admits the bitmap of n = 12, 2 * 12! (914 MiB), not n = 13 (11.6 GiB)
 
 FAMILY_C = "C"
@@ -71,11 +71,9 @@ def checked(value: int) -> int:
 
 
 def binomial(n: int, i: int) -> int:
-    """Exact binomial coefficient, restricted to 0 <= i <= n <= 62."""
+    """Exact binomial coefficient for 0 <= i <= n, inside int64."""
     if not 0 <= i <= n:
         raise OutOfRange(f"need 0 <= i <= n, got i={i}, n={n}")
-    if n > BINOMIAL_MAX_N:
-        raise OutOfRange(f"binomial is capped at n <= {BINOMIAL_MAX_N}")
     return checked(math.comb(n, i))
 
 
@@ -190,12 +188,13 @@ def _walk(k: int, n: int, enhanced: bool, partial: bool) -> list[int]:
 
 def _count(k: int, n: int, budget: int, enhanced: bool, partial: bool, parts: int) -> int:
     _check_k(k)
-    _check_budget(n, budget)
+    if parts > 1:
+        _check_budget(n, budget)
+        return _count_cached(k, n, enhanced, partial)
+    _check_n(n)
     if parts < 1:
         raise OutOfRange(f"parts must be >= 1, got {parts}")
-    if parts == 1:
-        return _walk(k, n, enhanced, partial)[n]
-    return _count_cached(k, n, enhanced, partial)
+    return _walk(k, n, enhanced, partial)[n]
 
 
 @lru_cache(maxsize=None)
@@ -251,13 +250,10 @@ def _binomial_transform(column: list[int]) -> tuple[list[int], int]:
     return terms, checked(sum(terms))
 
 
-def _identity_reports(k: int, n_max: int, budget: int) -> list[IdentityReport]:
-    """``verify_identity(k, n, budget)`` for n = 0..n_max, from three walks.
-
-    Every n passes the checks its own call makes before any walk runs.
-    """
+def _identity_reports(k: int, n_max: int) -> list[IdentityReport]:
+    """``verify_identity(k, n)`` for n = 0..n_max: k and [n_max + 1] checked, then three walks."""
     _check_k(k)
-    _check_upto(n_max, budget, shift=1)
+    _check_n(n_max, shift=1)
     lhs = _walk(k, n_max + 1, enhanced=False, partial=False)
     enhanced = _walk(k, n_max, enhanced=True, partial=False)
     direct = _walk(k, n_max, enhanced=True, partial=True)
@@ -269,7 +265,7 @@ def _identity_reports(k: int, n_max: int, budget: int) -> list[IdentityReport]:
     return reports
 
 
-def verify_identity(k: int, n: int, budget: int = DEFAULT_BUDGET) -> IdentityReport:
+def verify_identity(k: int, n: int) -> IdentityReport:
     """Check that avoiders of [n+1] equal the binomial transform over [n].
 
     lhs counts partitions of [n+1] with no classical k-crossing, rhs sums
@@ -279,7 +275,7 @@ def verify_identity(k: int, n: int, budget: int = DEFAULT_BUDGET) -> IdentityRep
     stay, and lhs == direct by regrouping half-steps.  The independent check
     is enumeration (``count --parts``, ``oeis-check`` and the tests).
     """
-    return _identity_reports(k, n, budget)[n]
+    return _identity_reports(k, n)[n]
 
 
 def _weights(n: int) -> list[int]:
@@ -427,6 +423,14 @@ def verify_eigensequence(n: int, budget: int = DEFAULT_BUDGET) -> IdentityReport
     return IdentityReport(
         None, n, lhs, terms, rhs, all(routes.values()), routes=routes
     )
+
+
+def _bell_reports(n_max: int, budget: int) -> Iterator[IdentityReport]:
+    """``verify_eigensequence(n, budget)`` for n = 0..n_max, each as it
+    finishes, after every n's checks and n_max's bitmap cap pass."""
+    _check_upto(n_max, budget, shift=1)
+    _check_bitmap(n_max)
+    return (verify_eigensequence(n, budget) for n in range(n_max + 1))
 
 
 class DistributionRow(NamedTuple):

@@ -13,6 +13,7 @@ import pytest
 from crossmap import cli, counting, crossings
 from crossmap.bijection import forward
 from crossmap.cli import main
+from test_counting import WALK_AT_CAP
 
 PAPER_PI = "9:1,4,7,9/2,5/3/6"
 PAPER_PI_HAT = "10:1,5/2,6,7,10/3,4,8/9"
@@ -66,6 +67,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _no_budget(*args):
+    raise AssertionError("the budget was checked on the walk route")
 
 
 class TestEnumerate:
@@ -126,9 +131,33 @@ class TestCount:
         )
         assert code == 0 and out.strip() == "859"
 
-    def test_budget_exit_3(self, capsys):
-        code, _, err = run(capsys, "count", "--k", "2", "--n", "15", "--family", "C")
-        assert code == 3 and "budget" in err
+    def test_budget_exit_3(self, capsys, monkeypatch):
+        # The budget binds the enumeration route, and refuses before it runs.
+        def boom(*args):
+            raise AssertionError("enumerated past the budget")
+
+        monkeypatch.setattr(counting, "_count_cached", boom)
+        assert run(capsys, "count", "--k", "2", "--n", "15", "--family", "C", "--parts", "2") == (
+            3, "", "error: n=15 exceeds the enumeration budget 12\n"
+        )
+
+    def test_walk_answers_to_the_ground_set_alone(self, capsys, monkeypatch):
+        monkeypatch.setattr(counting, "_check_budget", _no_budget)
+        assert run(capsys, "count", "--k", "2", "--n", "15", "--family", "C") == (0, "9694845\n", "")
+        assert run(capsys, "count", "--k", "3", "--n", "21", "--family", "C") == (
+            2, "", "error: n must be in 0..20, got 21\n"
+        )
+        # n is checked before parts, so n over the budget fails on parts.
+        assert run(capsys, "count", "--k", "3", "--n", "13", "--family", "C", "--parts", "0") == (
+            2, "", "error: parts must be >= 1, got 0\n"
+        )
+
+    @pytest.mark.parametrize("family", ["C", "E"])
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_walk_at_the_ground_set_cap(self, capsys, monkeypatch, k, family):
+        monkeypatch.setattr(counting, "_check_budget", _no_budget)
+        value = WALK_AT_CAP[family][k - 1]
+        assert run(capsys, "count", "--k", str(k), "--n", "20", "--family", family) == (0, f"{value}\n", "")
 
 
 class TestVerifyIdentity:
@@ -165,6 +194,7 @@ class TestVerifyIdentity:
         assert code == 1 and "FAIL" in out
 
     def test_one_walk_per_family(self, capsys, monkeypatch):
+        # With default flags: the walk answers to the ground set alone.
         calls = []
         real = counting._walk
 
@@ -173,26 +203,32 @@ class TestVerifyIdentity:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(counting, "_walk", recorded)
-        code, out, _ = run(capsys, "verify-identity", "--k", "8", "--n-max", "19", "--budget", "19")
-        assert code == 0 and len(out.splitlines()) == 20 and len(calls) == 3
+        monkeypatch.setattr(counting, "_check_budget", _no_budget)
+        code, out, _ = run(capsys, "verify-identity", "--k", "8", "--n-max", "19")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 20 and all(l.endswith(" OK") for l in lines) and len(calls) == 3
         calls.clear()
-        code, out, _ = run(capsys, "count", "--k", "8", "--n", "19", "--budget", "19", "--family", "E")
+        code, out, _ = run(capsys, "count", "--k", "8", "--n", "19", "--family", "E")
         assert code == 0 and len(calls) == 1
+
+    def test_has_no_budget(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-identity", "--k", "3", "--n-max", "3", "--budget", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --budget 3" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, code, err",
         [
-            (["--k", "3", "--n-max", "13"], 3, "error: n=13 exceeds the enumeration budget 12\n"),
-            (["--k", "3", "--n-max", "5", "--budget", "3"], 3, "error: n=4 exceeds the enumeration budget 3\n"),
-            (["--k", "3", "--n-max", "20", "--budget", "25"], 2, "error: n must be in 0..19, got 20\n"),
+            (["--k", "3", "--n-max", "20"], 2, "error: n must be in 0..19, got 20\n"),
             (["--k", "9", "--n-max", "2"], 2, "error: k is capped at 8, got 9\n"),
-            (["--k", "3", "--n-max", "22", "--budget", "21"], 2, "error: n must be in 0..19, got 20\n"),
-            (["--k", "3", "--n-max", "21", "--budget", "15"], 3, "error: n=16 exceeds the enumeration budget 15\n"),
+            (["--k", "9", "--n-max", "20"], 2, "error: k is capped at 8, got 9\n"),
+            (["--k", "3", "--n-max", "22"], 2, "error: n must be in 0..19, got 22\n"),
         ],
-        ids=["default-budget", "budget", "ground-set-cap", "k-cap", "ground-set-within-budget", "budget-within-ground-set"],
+        ids=["ground-set-cap", "k-cap", "k-before-ground-set", "ground-set-past-cap"],
     )
     def test_n_max_checked_before_walking(self, capsys, monkeypatch, argv, code, err):
-        # Every n passes the checks its own report makes before any walk runs.
+        # k, then the ground set [n-max + 1], are checked before any walk runs.
         def boom(*args, **kwargs):
             raise AssertionError("walked before every n was checked")
 
@@ -440,6 +476,10 @@ class TestBellCheck:
             3, "", "error: n=13 needs a 12454041600-byte bitmap, over the 1073741824-byte memory cap\n"
         )
 
+    def test_cli_leaves_the_caps_to_counting(self):
+        # counting._bell_reports checks every n and the bitmap; cli calls no check of its own.
+        assert "counting._check_" not in Path(cli.__file__).read_text(encoding="utf-8")
+
 
 class TestFlagRanges:
     @pytest.mark.parametrize(
@@ -453,7 +493,7 @@ class TestFlagRanges:
             (["verify-identity", "--k", "3", "--n-max", "-1", "--json"], "--n-max must be >= 0, got -1"),
             (["bell-check", "--n-max", "-1"], "--n-max must be >= 0, got -1"),
             (["count", "--k", "3", "--n", "0", "--family", "C", "--budget", "-1"], "--budget must be >= 0, got -1"),
-            (["verify-identity", "--k", "3", "--n-max", "0", "--budget", "-1"], "--budget must be >= 0, got -1"),
+            (["oeis-check", "--id", "A000110", "--budget", "-1"], "--budget must be >= 0, got -1"),
             (["oeis-check", "--id", "A000108", "--budget", "-1"], "--budget must be >= 0, got -1"),
             (["bell-check", "--n-max", "0", "--budget", "-1"], "--budget must be >= 0, got -1"),
             (["render", "--input", "2:1", "--source-color", '}</style><x y="'],
@@ -494,11 +534,17 @@ class TestFlagRanges:
             0, "n=0 bell=1 triangle=OK enumeration=OK bijection=OK OK\n", ""
         )
         assert run(capsys, "count", "--k", "3", "--n", "0", "--family", "C", "--budget", "0") == (0, "1\n", "")
-        assert run(capsys, "verify-identity", "--k", "3", "--n-max", "0", "--budget", "0") == (
+        assert run(capsys, "count", "--k", "3", "--n", "0", "--family", "C", "--parts", "2", "--budget", "0") == (
+            0, "1\n", ""
+        )
+        assert run(capsys, "verify-identity", "--k", "3", "--n-max", "0") == (
             0, "k=3 n=0 lhs=1 rhs=1 direct=1 OK\n", ""
         )
         code, _, err = run(capsys, "oeis-check", "--id", "A000108", "--budget", "0")
         assert (code, err) == (3, "error: n=1 exceeds the enumeration budget 0\n")
+        # The Bell column is read from the triangle, not enumerated, so the
+        # budget does not bind it.
+        assert run(capsys, "oeis-check", "--id", "A000110", "--budget", "0") == (0, "OK (13 terms compared)\n", "")
         assert run(capsys, "oeis-check", "--id", "A000108", "--n-max", "0") == (0, "OK (1 terms compared)\n", "")
         code, out, _ = run(capsys, "render", "--input", "2:1", "--source-color", "red", "--image-color", "#ABCdef")
         assert code == 0 and "stroke:red;" in out and "stroke:#ABCdef;" in out

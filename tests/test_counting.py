@@ -79,11 +79,15 @@ class TestBinomial:
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
             binomial(3, 4)
-        # The cap is not the int64 edge: binomial(63, 1) = 63 fits.
-        with pytest.raises(OutOfRange, match=r"^binomial is capped at n <= 62$"):
-            binomial(63, 1)
         with pytest.raises(OutOfRange):
             binomial(5, -1)
+
+    def test_int64_edge(self):
+        # checked() is the one cap: C(66, 33) = 7.2e18 fits, C(67, 33) = 1.4e19 does not.
+        assert binomial(63, 1) == 63
+        assert binomial(66, 33) == 7219428434016265740
+        with pytest.raises(Overflow, match="exceeds the signed 64-bit range"):
+            binomial(67, 33)
 
 
 class TestChecked:
@@ -127,9 +131,19 @@ class TestCounts:
             assert count_E(1, n) == 0
         assert count_E(1, 0) == 1
 
-    def test_budget(self):
-        with pytest.raises(OutOfBudget):
-            count_C(2, DEFAULT_BUDGET + 1)
+    def test_budget(self, monkeypatch):
+        # The budget binds enumeration only; the walk answers to the ground set.
+        with pytest.raises(OutOfBudget, match="^n=13 exceeds the enumeration budget 12$"):
+            count_C(2, DEFAULT_BUDGET + 1, parts=2)
+        with pytest.raises(OutOfBudget, match="^n=5 exceeds the enumeration budget 4$"):
+            count_partial_E(2, 5, parts=2, budget=4)
+
+        def boom(*args):
+            raise AssertionError("the walk route enumerated")
+
+        monkeypatch.setattr(counting, "_count_cached", boom)
+        assert count_C(2, DEFAULT_BUDGET + 1) == 742900  # Catalan(13), walked
+        assert count_E(2, 5, budget=0) == 21
         with pytest.raises(InvalidK):
             count_C(0, 3)
 
@@ -209,8 +223,8 @@ class TestWalk:
 
     def test_closed_forms_at_the_ground_set_cap(self):
         # Catalan(20) and Motzkin(20); Bell(20) items would take hours to enumerate
-        assert count_C(2, 20, budget=20) == 6564120420
-        assert count_E(2, 20, budget=20) == 50852019
+        assert count_C(2, 20) == 6564120420
+        assert count_E(2, 20) == 50852019
         # Each column to 20 is exact at every length.  Partial E on [n] is
         # Catalan(n+1): the identity for k = 2.
         catalan = [math.comb(2 * n, n) // (n + 1) for n in range(22)]
@@ -219,13 +233,13 @@ class TestWalk:
         assert counting._walk(2, 20, True, False) == motzkin
         assert counting._walk(2, 20, True, True) == catalan[1:]
         with pytest.raises(OutOfRange):
-            count_partial_E(2, 21, budget=21)
+            count_partial_E(2, 21)
 
     @pytest.mark.parametrize("k", range(1, 9))
     def test_every_k_at_the_ground_set_cap(self, k):
-        assert count_C(k, 20, budget=20) == WALK_AT_CAP["C"][k - 1]
-        assert count_E(k, 20, budget=20) == WALK_AT_CAP["E"][k - 1]
-        assert count_partial_E(k, 20, budget=20) == WALK_AT_CAP["partial_E"][k - 1]
+        assert count_C(k, 20) == WALK_AT_CAP["C"][k - 1]
+        assert count_E(k, 20) == WALK_AT_CAP["E"][k - 1]
+        assert count_partial_E(k, 20) == WALK_AT_CAP["partial_E"][k - 1]
 
     @pytest.mark.parametrize("oeis_id, enhanced", [("A108304", False), ("A108307", True)])
     def test_reproduces_the_bundled_three_crossing_terms(self, oeis_id, enhanced):
@@ -291,6 +305,17 @@ class TestIdentity:
         monkeypatch.setattr(counting, "_walk", broken)
         r = verify_identity(3, 5)
         assert r.lhs == r.rhs == 202 and r.rhs_direct == 0 and not r.holds
+
+    def test_walk_answers_to_the_ground_set_alone(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("the budget was checked on the walk route")
+
+        monkeypatch.setattr(counting, "_check_budget", boom)
+        r = verify_identity(3, 19)
+        assert r.lhs == WALK_AT_CAP["C"][2] and r.holds
+        with pytest.raises(OutOfRange, match=r"^n must be in 0\.\.19, got 20$"):
+            verify_identity(3, 20)
+        assert list(inspect.signature(verify_identity).parameters) == ["k", "n"]
 
     def test_negative_n(self):
         with pytest.raises(OutOfRange, match=r"^n must be in 0\.\.19, got -1$"):
@@ -429,6 +454,19 @@ class TestEigensequence:
         monkeypatch.setattr(counting, "BITMAP_CAP", 2 * math.factorial(5))
         with pytest.raises(OutOfBudget, match="^n=6 needs a 1440-byte bitmap, over the 240-byte"):
             verify_eigensequence(6)
+
+    def test_bell_reports_check_every_n_then_run_each_in_turn(self, monkeypatch):
+        runs = []
+        real = counting.verify_eigensequence
+        monkeypatch.setattr(counting, "verify_eigensequence", lambda n, budget: runs.append(n) or real(n, budget))
+        with pytest.raises(OutOfBudget, match="^n=4 exceeds the enumeration budget 3$"):
+            counting._bell_reports(5, 3)
+        with pytest.raises(OutOfBudget, match="^n=13 needs a 12454041600-byte bitmap"):
+            counting._bell_reports(13, 13)
+        reports = counting._bell_reports(3, 3)
+        assert runs == []
+        assert next(reports).n == 0 and runs == [0]
+        assert [r.lhs for r in reports] == BELL[2:5] and runs == [0, 1, 2, 3]
 
     @pytest.mark.parametrize(
         "old, new",

@@ -55,3 +55,16 @@ def test_same_outputs_reports_the_command_that_differs(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "differs: crossmap oeis-check --id A999999: stderr\n3 commands, 1 differ\n"
     )
+
+
+def test_same_outputs_error_cases_fail(capsys):
+    # Each ERRORS line fails a check before any work runs.
+    from crossmap.cli import main
+
+    for line in _load(SAME_OUTPUTS).ERRORS.splitlines():
+        try:
+            code = main(line.split(" "))
+        except SystemExit as exc:
+            code = exc.code
+        assert code != 0, line
+    capsys.readouterr()
