@@ -56,7 +56,7 @@ oeis-check --id A000108 --budget -1
 oeis-check --id A000110 --n-max 26
 bell-check --n-max 13
 bell-check --n-max -1
-bell-check --budget 13 --n-max 13
+bell-check --n-max 20
 """
 
 

@@ -165,9 +165,8 @@ def _cmd_oeis_check(args) -> int:
 
 def _cmd_bell_check(args) -> int:
     _at_least("--n-max", args.n_max, 0)
-    _at_least("--budget", args.budget, 0)
     ok = True
-    for r in counting._bell_reports(args.n_max, args.budget):
+    for r in counting._bell_reports(args.n_max):
         status = "OK" if r.holds else "FAIL"
         routes = " ".join(f"{name}={'OK' if v else 'FAIL'}" for name, v in r.routes.items())
         print(f"n={r.n} bell={r.lhs} {routes} {status}")
@@ -231,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bell-check", help="check the Bell-number fixed point three ways")
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET, help="largest n that is enumerated")
     p.set_defaults(func=_cmd_bell_check)
 
     return parser

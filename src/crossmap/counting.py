@@ -32,14 +32,14 @@ keeps the word index up to date and handles the leaves below the node
 that places n-1 a word at a time: ``_reverse_keys`` sets the bits of the
 reverse images with one OR per word, and ``_partial_keys`` tests the
 partitions of subsets with one mask per word.  Neither builds partition
-objects or makes a call per partition.  ``_check_bitmap`` caps the
-bitmap's memory at ``BITMAP_CAP``.
+objects or makes a call per partition.
 
 Each resource has one cap, checked before any work starts (after k, if
 the run has one).  The ground set, n <= 20 or n <= 19 on [n+1], is
 ``_check_n``'s and alone bounds the walk, whose columns stay in int64 up
 to it.  Enumeration also answers to the n budget (default 12) of
-``_check_budget``, whose messages name the n and budget given.
+``_check_budget``, whose messages name the n and budget given.  The Bell
+check answers to [n_max + 1], then to ``_check_bitmap``'s memory cap.
 """
 from __future__ import annotations
 
@@ -114,11 +114,11 @@ def _check_bitmap(n: int) -> int:
     return size
 
 
-def _check_upto(n_max: int, budget: int, shift: int = 0) -> None:
+def _check_upto(n_max: int, budget: int) -> None:
     """``_check_budget`` for each n up to n_max in turn, so a bad n_max fails
     at once with the error of the first bad n (n_max itself when negative)."""
     for n in range(min(n_max, 0), n_max + 1):
-        _check_budget(n, budget, shift)
+        _check_budget(n, budget)
 
 
 def _add_corners(shape: tuple[int, ...], rows: int) -> list[tuple[int, ...]]:
@@ -394,7 +394,7 @@ def _partial_keys(n: int, seen: memoryview) -> tuple[int, int]:
     return total, hits
 
 
-def verify_eigensequence(n: int, budget: int = DEFAULT_BUDGET) -> IdentityReport:
+def verify_eigensequence(n: int) -> IdentityReport:
     """Check the Bell-number fixed point of the binomial transform, three ways.
 
     Routes: the Bell-triangle recurrence, direct enumeration of partitions
@@ -404,7 +404,7 @@ def verify_eigensequence(n: int, budget: int = DEFAULT_BUDGET) -> IdentityReport
     images' predecessor forms, n! words of 16 bits, ``_check_bitmap(n)``
     bytes.
     """
-    _check_budget(n, budget, shift=1)
+    _check_n(n, shift=1)
     lhs = bell(n + 1)
     terms, rhs = _binomial_transform([bell(i) for i in range(n + 1)])
 
@@ -425,12 +425,12 @@ def verify_eigensequence(n: int, budget: int = DEFAULT_BUDGET) -> IdentityReport
     )
 
 
-def _bell_reports(n_max: int, budget: int) -> Iterator[IdentityReport]:
-    """``verify_eigensequence(n, budget)`` for n = 0..n_max, each as it
-    finishes, after every n's checks and n_max's bitmap cap pass."""
-    _check_upto(n_max, budget, shift=1)
+def _bell_reports(n_max: int) -> Iterator[IdentityReport]:
+    """``verify_eigensequence(n)`` for n = 0..n_max, each as it finishes,
+    after the ground set [n_max + 1] and n_max's bitmap cap pass."""
+    _check_n(n_max, shift=1)
     _check_bitmap(n_max)
-    return (verify_eigensequence(n, budget) for n in range(n_max + 1))
+    return (verify_eigensequence(n) for n in range(n_max + 1))
 
 
 class DistributionRow(NamedTuple):

@@ -30,7 +30,7 @@ class NotFull(CrossmapError):
 
 
 class OutOfBudget(CrossmapError):
-    """A counting job exceeds the configured enumeration budget."""
+    """A counting job exceeds the enumeration budget or the bitmap memory cap."""
 
 
 class Overflow(CrossmapError):

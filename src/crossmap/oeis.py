@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-from .errors import NetworkError, NoOverlap, ParseError, UnknownId
+from .errors import NetworkError, NoOverlap, OutOfRange, ParseError, UnknownId
 
 BUNDLED_IDS = ("A000108", "A001006", "A108304", "A108307", "A000110")
 
@@ -44,6 +44,8 @@ def _check_id(oeis_id: str) -> None:
 
 def parse_bfile(text: str, oeis_id: str, limit: Optional[int] = None) -> RefSequence:
     """Parse b-file text: `index value` lines, `#` comments ignored."""
+    if limit is not None and limit < 1:
+        raise OutOfRange(f"limit must be >= 1, got {limit}")
     pairs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -103,7 +105,7 @@ def fetch_bfile(oeis_id: str, limit: int) -> RefSequence:
     """Download (or serve from cache) the b-file and parse up to ``limit`` terms."""
     _check_id(oeis_id)
     if limit < 1:
-        raise ParseError(f"limit must be >= 1, got {limit}")
+        raise OutOfRange(f"limit must be >= 1, got {limit}")
     import http.client
     import urllib.error
     import urllib.request

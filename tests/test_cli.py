@@ -436,24 +436,39 @@ class TestBellCheck:
         assert "triangle=OK enumeration=OK bijection=OK" in lines[-1]
 
     @pytest.mark.parametrize(
-        "argv, code, err",
+        "n_max, code, err",
         [
-            (["--n-max", "13"], 3, "error: n=13 exceeds the enumeration budget 12\n"),
-            (["--n-max", "5", "--budget", "3"], 3, "error: n=4 exceeds the enumeration budget 3\n"),
-            (["--n-max", "20", "--budget", "25"], 2, "error: n must be in 0..19, got 20\n"),
-            (["--n-max", "22", "--budget", "21"], 2, "error: n must be in 0..19, got 20\n"),
-            (["--n-max", "21", "--budget", "15"], 3, "error: n=16 exceeds the enumeration budget 15\n"),
+            ("13", 3, "error: n=13 needs a 12454041600-byte bitmap, over the 1073741824-byte memory cap\n"),
+            ("19", 3, "error: n=19 needs a 243290200817664000-byte bitmap, over the 1073741824-byte memory cap\n"),
+            ("20", 2, "error: n must be in 0..19, got 20\n"),
+            ("22", 2, "error: n must be in 0..19, got 22\n"),
         ],
-        ids=["default-budget", "budget", "ground-set-cap", "ground-set-within-budget", "budget-within-ground-set"],
+        # "default-budget": the default 1 GiB memory budget of the bitmap refuses n = 13.
+        ids=["default-budget", "bitmap-cap-names-n-max", "ground-set-cap", "ground-set-names-n-max"],
     )
-    def test_n_max_checked_before_running(self, capsys, monkeypatch, argv, code, err):
+    def test_n_max_checked_before_running(self, capsys, monkeypatch, n_max, code, err):
         # Running every n below the bad one first would take minutes and,
         # at n = 12, a 958 MB bitmap; the checks come first.
         def boom(*args, **kwargs):
-            raise AssertionError("ran before every n was checked")
+            raise AssertionError("ran before n-max was checked")
 
         monkeypatch.setattr(counting, "verify_eigensequence", boom)
-        assert run(capsys, "bell-check", *argv) == (code, "", err)
+        assert run(capsys, "bell-check", "--n-max", n_max) == (code, "", err)
+
+    def test_ground_set_checked_before_the_bitmap(self, capsys, monkeypatch):
+        # n = 20 is refused as a ground set before its bitmap is sized.
+        def boom(*args):
+            raise AssertionError("checked the bitmap before the ground set")
+
+        monkeypatch.setattr(counting, "_check_bitmap", boom)
+        assert run(capsys, "bell-check", "--n-max", "20") == (2, "", "error: n must be in 0..19, got 20\n")
+
+    def test_has_no_budget(self, capsys):
+        # The bitmap cap refuses n = 13, so an n budget would bound nothing more.
+        with pytest.raises(SystemExit) as exc:
+            main(["bell-check", "--n-max", "5", "--budget", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --budget 3" in capsys.readouterr().err
 
     def test_bitmap_cap_with_a_small_cap(self, capsys, monkeypatch):
         # n = 6 needs 2 * 6! = 1,440 bytes and n = 7 needs 2 * 7! = 10,080.
@@ -465,19 +480,19 @@ class TestBellCheck:
         )
 
     def test_bitmap_cap_within_the_budget(self, capsys, monkeypatch):
-        # n = 13 would take 2 * 13! bytes, about 12.5 GB, once n = 0..12 had
-        # run; the cap refuses it before any search starts.
+        # n = 13 is inside the ground set but would take 2 * 13! bytes, about
+        # 12.5 GB; the cap refuses it before any search starts.
         def boom(*args):
             raise AssertionError("searched before the bitmap cap was checked")
 
         monkeypatch.setattr(counting, "_reverse_keys", boom)
         monkeypatch.setattr(counting, "_partial_keys", boom)
-        assert run(capsys, "bell-check", "--budget", "13", "--n-max", "13") == (
+        assert run(capsys, "bell-check", "--n-max", "13") == (
             3, "", "error: n=13 needs a 12454041600-byte bitmap, over the 1073741824-byte memory cap\n"
         )
 
     def test_cli_leaves_the_caps_to_counting(self):
-        # counting._bell_reports checks every n and the bitmap; cli calls no check of its own.
+        # counting._bell_reports checks the ground set and the bitmap; cli calls no check of its own.
         assert "counting._check_" not in Path(cli.__file__).read_text(encoding="utf-8")
 
 
@@ -495,7 +510,8 @@ class TestFlagRanges:
             (["count", "--k", "3", "--n", "0", "--family", "C", "--budget", "-1"], "--budget must be >= 0, got -1"),
             (["oeis-check", "--id", "A000110", "--budget", "-1"], "--budget must be >= 0, got -1"),
             (["oeis-check", "--id", "A000108", "--budget", "-1"], "--budget must be >= 0, got -1"),
-            (["bell-check", "--n-max", "0", "--budget", "-1"], "--budget must be >= 0, got -1"),
+            (["count", "--k", "3", "--n", "0", "--family", "C", "--parts", "2", "--budget", "-1"],
+             "--budget must be >= 0, got -1"),
             (["render", "--input", "2:1", "--source-color", '}</style><x y="'],
              "colour must be # plus hex digits or a name, got '}</style><x y=\"'"),
             (["render", "--input", "2:1", "--image-color", "red;x"],
@@ -528,9 +544,6 @@ class TestFlagRanges:
         code, out, _ = run(capsys, "render", "--input", PAPER_PI, "--scale", "1")
         assert code == 0 and out.startswith("<?xml")
         assert run(capsys, "bell-check", "--n-max", "0") == (
-            0, "n=0 bell=1 triangle=OK enumeration=OK bijection=OK OK\n", ""
-        )
-        assert run(capsys, "bell-check", "--n-max", "0", "--budget", "0") == (
             0, "n=0 bell=1 triangle=OK enumeration=OK bijection=OK OK\n", ""
         )
         assert run(capsys, "count", "--k", "3", "--n", "0", "--family", "C", "--budget", "0") == (0, "1\n", "")

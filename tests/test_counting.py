@@ -438,19 +438,20 @@ class TestEigensequence:
     def test_out_of_range_n(self):
         with pytest.raises(OutOfRange):
             verify_eigensequence(-1)
-        with pytest.raises(OutOfRange):
-            verify_eigensequence(20, budget=20)
+        with pytest.raises(OutOfRange, match="^n must be in 0..19, got 20$"):
+            verify_eigensequence(20)
 
     def test_bitmap_cap(self, monkeypatch):
-        # The default cap admits the default budget and nothing past it.
+        # The default cap admits n = 12 and refuses n = 13.
         assert 2 * math.factorial(12) <= counting.BITMAP_CAP < 2 * math.factorial(13)
 
         def boom(*args):
             raise AssertionError("searched before the bitmap cap was checked")
 
         monkeypatch.setattr(counting, "_reverse_keys", boom)
+        monkeypatch.setattr(counting, "_partial_keys", boom)
         with pytest.raises(OutOfBudget, match="^n=13 needs a 12454041600-byte bitmap"):
-            verify_eigensequence(13, budget=13)
+            verify_eigensequence(13)
         monkeypatch.setattr(counting, "BITMAP_CAP", 2 * math.factorial(5))
         with pytest.raises(OutOfBudget, match="^n=6 needs a 1440-byte bitmap, over the 240-byte"):
             verify_eigensequence(6)
@@ -458,12 +459,20 @@ class TestEigensequence:
     def test_bell_reports_check_every_n_then_run_each_in_turn(self, monkeypatch):
         runs = []
         real = counting.verify_eigensequence
-        monkeypatch.setattr(counting, "verify_eigensequence", lambda n, budget: runs.append(n) or real(n, budget))
-        with pytest.raises(OutOfBudget, match="^n=4 exceeds the enumeration budget 3$"):
-            counting._bell_reports(5, 3)
+        monkeypatch.setattr(counting, "verify_eigensequence", lambda n: runs.append(n) or real(n))
+        real_bitmap = counting._check_bitmap
+
+        def no_bitmap(n):
+            raise AssertionError("checked the bitmap before the ground set")
+
+        # The ground set first, then the bitmap of n_max, and nothing runs.
+        monkeypatch.setattr(counting, "_check_bitmap", no_bitmap)
+        with pytest.raises(OutOfRange, match="^n must be in 0..19, got 20$"):
+            counting._bell_reports(20)
+        monkeypatch.setattr(counting, "_check_bitmap", real_bitmap)
         with pytest.raises(OutOfBudget, match="^n=13 needs a 12454041600-byte bitmap"):
-            counting._bell_reports(13, 13)
-        reports = counting._bell_reports(3, 3)
+            counting._bell_reports(13)
+        reports = counting._bell_reports(3)
         assert runs == []
         assert next(reports).n == 0 and runs == [0]
         assert [r.lhs for r in reports] == BELL[2:5] and runs == [0, 1, 2, 3]

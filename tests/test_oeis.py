@@ -10,7 +10,7 @@ import pytest
 
 from crossmap import counting
 from crossmap.cli import main
-from crossmap.errors import NetworkError, NoOverlap, ParseError, UnknownId
+from crossmap.errors import NetworkError, NoOverlap, OutOfRange, ParseError, UnknownId
 from crossmap.oeis import (
     BUNDLED_IDS,
     RefSequence,
@@ -107,6 +107,11 @@ class TestParse:
     def test_limit(self):
         ref = parse_bfile("0 1\n1 2\n2 3\n", "A000001", limit=2)
         assert ref.values == (1, 2)
+
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_limit_below_one(self, limit):
+        with pytest.raises(OutOfRange, match=f"^limit must be >= 1, got {limit}$"):
+            parse_bfile("0 1\n1 1\n", "A000108", limit=limit)
 
 
 class _FakeResponse(io.BytesIO):
@@ -210,6 +215,15 @@ class TestFetch:
         monkeypatch.setattr(urllib.request, "urlopen", _fail(_http_error(404)))
         with pytest.raises(UnknownId):
             fetch_bfile("A999999", limit=5)
+
+    def test_limit_below_one_fetches_nothing(self, monkeypatch):
+        def boom(url, timeout):
+            raise AssertionError(f"fetched {url}")
+
+        monkeypatch.setattr(urllib.request, "urlopen", boom)
+        with pytest.raises(OutOfRange, match="^limit must be >= 1, got 0$"):
+            fetch_bfile("A000108", 0)
+        assert list(self.tmp.iterdir()) == []
 
     def test_cache_dir_env(self):
         assert cache_dir() == self.tmp
