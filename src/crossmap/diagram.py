@@ -11,15 +11,11 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Iterator, NamedTuple
 
-from .arcs import ARC, Arc, arcs_enhanced
+from .arcs import arcs_enhanced
 from .bijection import image_n
 from .errors import OutOfRange
 from .partition import PartialPartition
-
-SOURCE = "source"
-IMAGE = "image"
 
 #: A colour goes into the SVG's <style> as is, so only these forms pass.
 _COLOR = re.compile(r"#[0-9A-Fa-f]+|[A-Za-z]+")
@@ -28,44 +24,6 @@ _COLOR = re.compile(r"#[0-9A-Fa-f]+|[A-Za-z]+")
 #: A frame is about 6 kB at n = 19, and the ~100 (n, top) pairs that
 #: partitions on [12..19] reach at one scale and colour pair fit.
 _FRAME_CACHE_SIZE = 128
-
-_Tent = tuple[str, Arc, int, int, int, int, int, int]  # layer, arc, x and y of 3 points
-
-
-class ArcGeometry(NamedTuple):
-    layer: str  # source (the input partition) or image (its forward map)
-    arc: Arc
-    points: tuple[tuple[int, int], ...]
-
-    @property
-    def apex(self) -> tuple[int, int]:
-        return self.points[1]
-
-
-def _tents(p: PartialPartition) -> Iterator[_Tent]:
-    """Every tent, as flat coordinates: the source's enhanced arcs, then
-    the image arcs.
-
-    The image arcs are the source's enhanced arcs (x, y) moved to (x, y+1),
-    which is the paper's statement, so forward(p) itself is never built.
-    """
-    image_n(p)  # raises as forward(p) would when the image passes MAX_N
-    source = arcs_enhanced(p).arcs
-    for a in source:
-        x, y = a
-        if x == y:
-            yield SOURCE, a, 2 * x - 2, 1, 2 * x - 1, 2, 2 * x, 1
-        else:
-            yield SOURCE, a, 2 * x - 1, 1, x + y - 1, y - x + 1, 2 * y - 1, 1
-    for x, y in source:
-        yield IMAGE, ARC[x][y + 1], 2 * x - 2, 0, x + y - 1, y - x + 1, 2 * y, 0
-
-
-def render_strip_coordinates(p: PartialPartition) -> list[ArcGeometry]:
-    """Tent polylines for the enhanced arcs of p and the classical arcs of
-    forward(p), in shared strip coordinates."""
-    return [ArcGeometry(t[0], t[1], (t[2:4], t[4:6], t[6:])) for t in _tents(p)]
-
 
 @lru_cache(maxsize=_FRAME_CACHE_SIZE, typed=True)
 def _frame(
@@ -124,16 +82,26 @@ def render_overlay(
     but the polylines comes from a cached frame per (n, top, scale,
     colours), so a colour is checked when its frame is first built.
     """
+    source = arcs_enhanced(p).arcs
     # A loop's tent is 2 high, the tent of an arc (x, y) y - x + 1.
-    top = max([2 if x == y else y - x + 1 for x, y in arcs_enhanced(p).arcs], default=1) + 1
+    top = max([2 if x == y else y - x + 1 for x, y in source], default=1) + 1
     # The frame is taken before the tents, so a bad colour is reported
     # before an image past MAX_N.
     head, X, Y, tail = _frame(p.n, top, scale, source_color, image_color)
+    image_n(p)  # raises as forward(p) would when the image passes MAX_N
     lines = [head]
-    for layer, _, ax, ay, bx, by, cx, cy in _tents(p):
+    for x, y in source:
+        if x == y:
+            points = f"{X[2 * x - 2]},{Y[1]} {X[2 * x - 1]},{Y[2]} {X[2 * x]},{Y[1]}"
+        else:
+            points = f"{X[2 * x - 1]},{Y[1]} {X[x + y - 1]},{Y[y - x + 1]} {X[2 * y - 1]},{Y[1]}"
+        lines.append(f'<polyline class="source-arc" points="{points}"/>\n')
+    # The image arc of source arc (x, y) is (x, y+1), the paper's
+    # statement, so no forward image is built.
+    for x, y in source:
         lines.append(
-            f'<polyline class="{layer}-arc" '
-            f'points="{X[ax]},{Y[ay]} {X[bx]},{Y[by]} {X[cx]},{Y[cy]}"/>\n'
+            f'<polyline class="image-arc" '
+            f'points="{X[2 * x - 2]},{Y[0]} {X[x + y - 1]},{Y[y - x + 1]} {X[2 * y]},{Y[0]}"/>\n'
         )
     lines.append(tail)
     return "".join(lines)

@@ -25,9 +25,10 @@ from crossmap.crossings import (
     oracle_count,
     oracle_find,
 )
-from crossmap.diagram import IMAGE, SOURCE, render_overlay, render_strip_coordinates
+from crossmap.diagram import render_overlay
 from crossmap.oeis import bundled, compare
 from crossmap.partition import enumerate_full, enumerate_partial, parse_text
+from test_diagram import _decode_overlay
 
 PAPER_PI = "9:1,4,7,9/2,5/3/6"
 PAPER_PI_HAT = "10:1,5/2,6,7,10/3,4,8/9"
@@ -161,12 +162,12 @@ def test_criterion_9_rendering():
     source_arcs = [e for e in root.iter(f"{ns}polyline") if e.get("class") == "source-arc"]
     image_arcs = [e for e in root.iter(f"{ns}polyline") if e.get("class") == "image-arc"]
     vertices = [e for e in root.iter(f"{ns}circle") if e.get("class") == "baseline-vertex"]
-    geoms = render_strip_coordinates(p)
-    apex_of_image = {g.arc: g.apex for g in geoms if g.layer == IMAGE}
+    source, image = _decode_overlay(p)
+    apex_of_image = {arc: points[1] for arc, points in image}
     shared = all(
-        g.apex == apex_of_image[Arc(g.arc.left, g.arc.right + 1)]
-        for g in geoms
-        if g.layer == SOURCE and not g.arc.is_loop
+        points[1] == apex_of_image[Arc(arc.left, arc.right + 1)]
+        for arc, points in source
+        if not arc.is_loop
     )
     ok = (
         len(source_arcs) == 6

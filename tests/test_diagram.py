@@ -5,15 +5,10 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from crossmap.arcs import Arc, arcs_classical
+from crossmap.arcs import Arc, arcs_classical, arcs_enhanced
 from crossmap.bijection import forward
 from crossmap.errors import OutOfRange
-from crossmap.diagram import (
-    IMAGE,
-    SOURCE,
-    render_overlay,
-    render_strip_coordinates,
-)
+from crossmap.diagram import render_overlay
 from crossmap.partition import MAX_N, enumerate_partial, from_blocks, parse_text
 
 PAPER_PI = "9:1,4,7,9/2,5/3/6"
@@ -66,50 +61,90 @@ def _svg_elements(svg, tag, cls):
     return [e for e in root.iter(f"{ns}{tag}") if e.get("class") == cls]
 
 
+def _decode_overlay(p, scale=24):
+    """The tents ``render_overlay(p, scale)`` draws, read back in strip
+    units: (source, image), each a list of (arc, points) in the order of
+    ``arcs_enhanced(p).arcs``.
+
+    The strip is ``height / scale - 2`` high, and screen point (a, b) is
+    strip point (a / scale - 1, top + 1 - b / scale).  A source tent is
+    named by the enhanced arc it is drawn for; an image tent by its ends,
+    since baseline vertex j sits at (2j - 2, 0): ends (2x - 2, 0) and
+    (2y, 0) make the arc (x, y + 1), the image of source arc (x, y).
+    """
+    root = ET.fromstring(render_overlay(p, scale))
+    top = int(root.get("height")) // scale - 2
+
+    def strip(point):
+        a, b = (int(v) for v in point.split(","))
+        assert a % scale == b % scale == 0, point
+        return a // scale - 1, top + 1 - b // scale
+
+    tents = {"source-arc": [], "image-arc": []}
+    for e in root.iter("{http://www.w3.org/2000/svg}polyline"):
+        tents[e.get("class")].append(tuple(strip(point) for point in e.get("points").split()))
+    source = list(zip(arcs_enhanced(p).arcs, tents["source-arc"], strict=True))
+    image = []
+    for points in tents["image-arc"]:
+        (a, a_y), _, (c, c_y) = points
+        assert a % 2 == c % 2 == a_y == c_y == 0, points
+        image.append((Arc(a // 2 + 1, c // 2 + 1), points))
+    return source, image
+
+
 class TestGeometry:
     def test_shared_apex_example(self):
-        geoms = render_strip_coordinates(parse_text(PAPER_PI))
-        src = {g.arc: g for g in geoms if g.layer == SOURCE}
-        img = {g.arc: g for g in geoms if g.layer == IMAGE}
-        assert src[Arc(1, 4)].apex == img[Arc(1, 5)].apex == (4, 4)
+        source, image = map(dict, _decode_overlay(parse_text(PAPER_PI)))
+        assert source[Arc(1, 4)][1] == image[Arc(1, 5)][1] == (4, 4)
 
     def test_loop_tent(self):
-        geoms = render_strip_coordinates(parse_text(PAPER_PI))
-        loop = next(g for g in geoms if g.layer == SOURCE and g.arc == Arc(3, 3))
-        assert loop.points[0][0] == 4 and loop.points[-1][0] == 6
-        assert loop.apex[0] == 5
+        source, _ = _decode_overlay(parse_text(PAPER_PI))
+        assert dict(source)[Arc(3, 3)] == ((4, 1), (5, 2), (6, 1))
 
     def test_empty_input(self):
-        assert render_strip_coordinates(parse_text("0:")) == []
+        assert _decode_overlay(parse_text("0:")) == ([], [])
 
     def test_shared_apex_exhaustive(self):
         for p in enumerate_partial(5):
-            geoms = render_strip_coordinates(p)
-            img = {g.arc: g.apex for g in geoms if g.layer == IMAGE}
-            for g in geoms:
-                if g.layer == SOURCE and not g.arc.is_loop:
-                    assert g.apex == img[Arc(g.arc.left, g.arc.right + 1)]
+            source, image = _decode_overlay(p)
+            img = {arc: points[1] for arc, points in image}
+            for arc, points in source:
+                if not arc.is_loop:
+                    assert points[1] == img[Arc(arc.left, arc.right + 1)]
 
     @pytest.mark.parametrize("n", range(7))
     def test_image_layer_is_the_classical_arcs_of_forward(self, n):
         # The image arcs are drawn from the source's enhanced arcs, shifted.
         for p in enumerate_partial(n):
-            img = [g.arc for g in render_strip_coordinates(p) if g.layer == IMAGE]
-            assert tuple(img) == arcs_classical(forward(p)).arcs
+            _, image = _decode_overlay(p)
+            assert tuple(arc for arc, _ in image) == arcs_classical(forward(p)).arcs
 
     def test_image_past_the_cap(self):
         # forward of a partition on [MAX_N] would lie on [MAX_N + 1].
         message = f"n must be in 0..{MAX_N - 1}, got {MAX_N}"
         with pytest.raises(OutOfRange, match=re.escape(message)):
-            render_strip_coordinates(from_blocks(MAX_N, [[1]]))
-        assert render_strip_coordinates(from_blocks(MAX_N - 1, [[MAX_N - 1]]))[-1].arc == (MAX_N - 1, MAX_N)
+            render_overlay(from_blocks(MAX_N, [[1]]))
+        _, image = _decode_overlay(from_blocks(MAX_N - 1, [[MAX_N - 1]]))
+        assert image[-1][0] == (MAX_N - 1, MAX_N)
 
     def test_vertex_grid(self):
         # source vertex i sits between baseline vertices i and i+1, one unit up
-        geoms = render_strip_coordinates(parse_text("1:1"))
-        (loop, image_arc) = geoms
-        assert loop.layer == SOURCE and image_arc.layer == IMAGE
-        assert image_arc.points == ((0, 0), (1, 1), (2, 0))
+        [(loop, loop_points)], [(image_arc, image_points)] = _decode_overlay(parse_text("1:1"))
+        assert loop == (1, 1) and loop_points == ((0, 1), (1, 2), (2, 1))
+        assert image_arc == (1, 2) and image_points == ((0, 0), (1, 1), (2, 0))
+
+    def test_render_builds_no_forward_image(self, monkeypatch):
+        # The image layer comes from the source's own arcs, so drawing it
+        # never calls forward, even for an image on [MAX_N].
+        inputs = [parse_text(PAPER_PI), from_blocks(MAX_N - 1, [[1, MAX_N - 1]])]
+        expected = [render_overlay(p) for p in inputs]
+
+        def no_forward(p):
+            raise AssertionError("render_overlay built a forward image")
+
+        monkeypatch.setattr("crossmap.bijection.forward", no_forward)
+        monkeypatch.setattr("crossmap.diagram.forward", no_forward, raising=False)
+        assert [render_overlay(p) for p in inputs] == expected
 
 
 class TestSvg:
