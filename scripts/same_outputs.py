@@ -38,6 +38,7 @@ enumerate --n -1
 enumerate --n 21
 enumerate --n 3 --limit -1
 verify-identity --k 0 --n-max 3
+verify-identity --k 0 --n-max -1
 verify-identity --k 3 --n-max -1 --json
 verify-identity --k 3 --n-max 20
 map --input 21:1
@@ -46,13 +47,17 @@ map --input 3:1,+2
 map --input 3
 map --input 2:1 --reverse
 map --input 9:1,4,7,9/2,5/3/6 --witnesses 9
+map --input 3:1 --witnesses -1
 render --input 2:1 --scale 0
 render --input 2:1 --source-color a;b
 render --input 20:1
 oeis-check --id A999999
 oeis-check --id A108304 --n-max 13
 oeis-check --id A108304 --n-max 21 --budget 25
+oeis-check --id A108304 --n-max 22 --budget 21
+oeis-check --id A108304 --n-max 21 --budget 15
 oeis-check --id A000108 --budget -1
+oeis-check --id A000108 --budget 0
 oeis-check --id A000110 --n-max 26
 bell-check --n-max 13
 bell-check --n-max -1
@@ -80,7 +85,7 @@ def commands() -> list[list[str]]:
             ["render", "--input", PAPER_PI_HAT, "--scale", "7", "--source-color", "red",
              "--image-color", "#ABCdef"],
             # Edge frames: no arcs, a lone loop, the tallest tent with an
-            # image on [20], and a scale whose label font is 0px.
+            # image on [20], and scale 1, the smallest label font.
             ["render", "--input", "0:"],
             ["render", "--input", "1:1"],
             ["render", "--input", "19:1,19"],

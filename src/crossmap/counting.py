@@ -34,12 +34,15 @@ reverse images with one OR per word, and ``_partial_keys`` tests the
 partitions of subsets with one mask per word.  Neither builds partition
 objects or makes a call per partition.
 
-Each resource has one cap, checked before any work starts (after k, if
-the run has one).  The ground set, n <= 20 or n <= 19 on [n+1], is
+Each resource has one cap, checked once, before any work starts (after
+k, if the run has one), by the function that owns it; the CLI repeats
+none of these checks.  The ground set, n <= 20 or n <= 19 on [n+1], is
 ``_check_n``'s and alone bounds the walk, whose columns stay in int64 up
 to it.  Enumeration also answers to the n budget (default 12) of
-``_check_budget``, whose messages name the n and budget given.  The Bell
-check answers to [n_max + 1], then to ``_check_bitmap``'s memory cap.
+``_check_budget``, whose messages name the n and budget given: a column
+up to n_max is checked once, as its last count, so ``count_table``
+refuses an n_max as ``count --parts`` refuses that n.  The Bell check
+answers to [n_max + 1], then to ``_check_bitmap``'s memory cap.
 """
 from __future__ import annotations
 
@@ -112,13 +115,6 @@ def _check_bitmap(n: int) -> int:
     if size > BITMAP_CAP:
         raise OutOfBudget(f"n={n} needs a {size}-byte bitmap, over the {BITMAP_CAP}-byte memory cap")
     return size
-
-
-def _check_upto(n_max: int, budget: int) -> None:
-    """``_check_budget`` for each n up to n_max in turn, so a bad n_max fails
-    at once with the error of the first bad n (n_max itself when negative)."""
-    for n in range(min(n_max, 0), n_max + 1):
-        _check_budget(n, budget)
 
 
 def _add_corners(shape: tuple[int, ...], rows: int) -> list[tuple[int, ...]]:
@@ -487,12 +483,13 @@ def count_table(family: str, k: Optional[int], n_max: int, budget: int = DEFAULT
     """One counting family for n = 0..n_max, as the column {n: value}.
 
     Counts come from enumeration, never from the walk, so comparing them
-    with the walk-generated snapshots is an independent check.
+    with the walk-generated snapshots is an independent check.  The C and
+    E columns check k, then n_max as ``count --parts`` checks its n.
     """
     if family == FAMILY_BELL:
         return {n: bell(n) for n in range(n_max + 1)}
     if family not in (FAMILY_C, FAMILY_E):
         raise OutOfRange(f"unknown family {family!r}")
     _check_k(k)
-    _check_upto(n_max, budget)
+    _check_budget(n_max, budget)
     return {n: _count_cached(k, n, family == FAMILY_E, False) for n in range(n_max + 1)}

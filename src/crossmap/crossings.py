@@ -140,12 +140,13 @@ def _walk(arcs: Sequence[Arc], strict: bool) -> dict[str, _Walk]:
 
 def _find_crossing(arcs: Sequence[Arc], k: int, strict: bool) -> Optional[tuple[Arc, ...]]:
     """The least k-crossing of arcs sorted by left end, or None: the walk
-    from level 1, stopped at order k.  An entry of level d ending at index i
-    can reach k arcs only if i < n - k + d, so every scan ends there."""
+    from level 1, stopped at order k.  ``arcs`` meet ``_walk``'s contract,
+    so they hold no loop when strict.  An entry of level d ending at index
+    i can reach k arcs only if i < n - k + d, so every scan ends there."""
     slack = not strict
     n = len(arcs)
     starts = enumerate(arcs[: n - k + 1])  # the arcs that can start k of them
-    level = [(i, a[1] + slack, (a,)) for i, a in starts if not (strict and a[0] == a[1])]
+    level = [(i, a[1] + slack, (a,)) for i, a in starts]
     d = 1
     while level and d < k:
         d += 1

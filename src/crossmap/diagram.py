@@ -56,9 +56,11 @@ def _frame(
         f'.image-arc{{stroke:{image_color};stroke-width:2;fill:none}}'
         f'.baseline-vertex{{fill:{image_color}}}'
         f'.source-vertex{{fill:{source_color}}}'
-        f".label{{font:italic {scale // 2}px serif;text-anchor:middle}}</style>\n"
+        f".label{{font:italic {max(scale // 2, 1)}px serif;text-anchor:middle}}</style>\n"
     )
-    label_y = (top + 1) * scale + scale // 2 + 8
+    # Labels sit scale // 2 + 8 below the baseline, or at the bottom edge
+    # where that would pass it (scales below 16).
+    label_y = (top + 1) * scale + min(scale // 2 + 8, scale)
     lines = []
     for j in range(1, n1 + 1):
         cx = X[2 * j - 2]

@@ -1,8 +1,14 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+Each class names the exit code of the ``crossmap`` command that it ends:
+2 (a usage error) unless it says otherwise.
+"""
 
 
 class CrossmapError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 2
 
 
 class DuplicateElement(CrossmapError):
@@ -32,9 +38,13 @@ class NotFull(CrossmapError):
 class OutOfBudget(CrossmapError):
     """A counting job exceeds the enumeration budget or the bitmap memory cap."""
 
+    exit_code = 3
+
 
 class Overflow(CrossmapError):
     """An exact count left the signed 64-bit range."""
+
+    exit_code = 3
 
 
 class UnknownId(CrossmapError):
@@ -43,6 +53,8 @@ class UnknownId(CrossmapError):
 
 class NetworkError(CrossmapError):
     """A b-file download failed and no cached copy exists."""
+
+    exit_code = 4
 
 
 class ParseError(CrossmapError):

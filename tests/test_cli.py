@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from crossmap import cli, counting, crossings
+from crossmap import cli, counting, crossings, errors
 from crossmap.bijection import forward
 from crossmap.cli import main
 from test_counting import WALK_AT_CAP
@@ -71,6 +71,28 @@ def run(capsys, *argv):
 
 def _no_budget(*args):
     raise AssertionError("the budget was checked on the walk route")
+
+
+#: The exit code the README lists for each error class that is not a usage
+#: error (2).
+README_EXIT_CODES = {"OutOfBudget": 3, "Overflow": 3, "NetworkError": 4}
+ERROR_CLASSES = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.CrossmapError)]
+
+
+class TestExitCodes:
+    def test_readme_lists_the_codes(self):
+        text = " ".join(README.read_text(encoding="utf-8").split())
+        assert "2 usage error, 3 budget or overflow, 4 network failure" in text
+
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+    def test_error_class_names_its_exit_code(self, capsys, monkeypatch, cls):
+        def refuse(args):
+            raise cls("refused")
+
+        monkeypatch.setattr(cli, "_cmd_enumerate", refuse)
+        code = README_EXIT_CODES.get(cls.__name__, 2)
+        assert cls.exit_code == code
+        assert run(capsys, "enumerate", "--n", "1") == (code, "", "error: refused\n")
 
 
 class TestEnumerate:
@@ -386,18 +408,32 @@ class TestOeisCheck:
         "argv, code, err",
         [
             (["--n-max", "21", "--budget", "25"], 2, "error: n must be in 0..20, got 21\n"),
-            (["--n-max", "21", "--budget", "15"], 3, "error: n=16 exceeds the enumeration budget 15\n"),
-            (["--n-max", "22", "--budget", "21"], 2, "error: n must be in 0..20, got 21\n"),
+            (["--n-max", "21", "--budget", "15"], 3, "error: n=21 exceeds the enumeration budget 15\n"),
+            (["--n-max", "22", "--budget", "22"], 2, "error: n must be in 0..20, got 22\n"),
         ],
         ids=["ground-set-cap", "budget", "ground-set-within-budget"],
     )
     def test_n_max_checked_before_enumerating(self, capsys, monkeypatch, argv, code, err):
-        # Enumerating up to the bad n would take hours; the checks come first.
+        # Enumerating up to the bad n would take hours; the checks come
+        # first, on n-max itself, as for one count.
         def boom(*args):
             raise AssertionError("enumerated before every n was checked")
 
         monkeypatch.setattr(counting, "_count_cached", boom)
         assert run(capsys, "oeis-check", "--id", "A108304", *argv) == (code, "", err)
+
+    @pytest.mark.parametrize("n_max, budget", [(13, 12), (21, 15), (22, 21), (21, 25), (10, 0)])
+    def test_budget_refusal_is_count_parts(self, capsys, monkeypatch, n_max, budget):
+        # The C column up to n-max is refused exactly as one enumerated
+        # count of n-max is: same exit code, same message.
+        def boom(*args):
+            raise AssertionError("enumerated before n-max was checked")
+
+        monkeypatch.setattr(counting, "_count_cached", boom)
+        n_max, budget = str(n_max), str(budget)
+        column = run(capsys, "oeis-check", "--id", "A108304", "--n-max", n_max, "--budget", budget)
+        count = run(capsys, "count", "--k", "3", "--n", n_max, "--family", "C", "--parts", "2", "--budget", budget)
+        assert column == count and column[0] in (2, 3) and column[2].startswith("error: ")
 
     @pytest.mark.parametrize("fetch", [[], ["--fetch"]], ids=["bundled", "fetch"])
     def test_run_checked_before_any_reference_is_read(self, capsys, monkeypatch, fetch):
@@ -503,10 +539,10 @@ class TestFlagRanges:
             (["enumerate", "--n", "3", "--limit", "-1"], "--limit must be >= 0, got -1"),
             (["render", "--input", PAPER_PI, "--scale", "0"], "--scale must be >= 1, got 0"),
             (["render", "--input", PAPER_PI, "--scale", "-5"], "--scale must be >= 1, got -5"),
-            (["map", "--input", PAPER_PI, "--witnesses", "-1"], "--witnesses must be >= 0, got -1"),
-            (["verify-identity", "--k", "3", "--n-max", "-1"], "--n-max must be >= 0, got -1"),
-            (["verify-identity", "--k", "3", "--n-max", "-1", "--json"], "--n-max must be >= 0, got -1"),
-            (["bell-check", "--n-max", "-1"], "--n-max must be >= 0, got -1"),
+            (["map", "--input", PAPER_PI, "--witnesses", "-1"], "k must be >= 1, got -1"),
+            (["verify-identity", "--k", "3", "--n-max", "-1"], "n must be in 0..19, got -1"),
+            (["verify-identity", "--k", "3", "--n-max", "-1", "--json"], "n must be in 0..19, got -1"),
+            (["bell-check", "--n-max", "-1"], "n must be in 0..19, got -1"),
             (["count", "--k", "3", "--n", "0", "--family", "C", "--budget", "-1"], "--budget must be >= 0, got -1"),
             (["oeis-check", "--id", "A000110", "--budget", "-1"], "--budget must be >= 0, got -1"),
             (["oeis-check", "--id", "A000108", "--budget", "-1"], "--budget must be >= 0, got -1"),
@@ -527,10 +563,22 @@ class TestFlagRanges:
 
     def test_negative_n_has_one_wording(self, capsys):
         # Counting runs and enumeration report a negative n through the one
-        # ground-set check, partition._check_n.
+        # ground-set check, partition._check_n: on [n], or on [n+1] for the
+        # runs that count there.
         err = "error: n must be in 0..20, got -1\n"
         assert run(capsys, "count", "--k", "3", "--n", "-1", "--family", "C") == (2, "", err)
         assert run(capsys, "enumerate", "--n", "-1") == (2, "", err)
+        err = "error: n must be in 0..19, got -1\n"
+        assert run(capsys, "verify-identity", "--k", "3", "--n-max", "-1") == (2, "", err)
+        assert run(capsys, "bell-check", "--n-max", "-1") == (2, "", err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["count", "--k", "0", "--n", "-1", "--family", "C"], ["verify-identity", "--k", "0", "--n-max", "-1"]],
+        ids=["count", "verify-identity"],
+    )
+    def test_bad_k_reported_before_bad_n(self, capsys, argv):
+        assert run(capsys, *argv) == (2, "", "error: k must be >= 1, got 0\n")
 
     def test_bad_colour_writes_no_file(self, capsys, tmp_path):
         out_file = tmp_path / "fig.svg"
@@ -554,7 +602,7 @@ class TestFlagRanges:
             0, "k=3 n=0 lhs=1 rhs=1 direct=1 OK\n", ""
         )
         code, _, err = run(capsys, "oeis-check", "--id", "A000108", "--budget", "0")
-        assert (code, err) == (3, "error: n=1 exceeds the enumeration budget 0\n")
+        assert (code, err) == (3, "error: n=10 exceeds the enumeration budget 0\n")
         # The Bell column is read from the triangle, not enumerated, so the
         # budget does not bind it.
         assert run(capsys, "oeis-check", "--id", "A000110", "--budget", "0") == (0, "OK (13 terms compared)\n", "")

@@ -15,12 +15,13 @@ PAPER_PI = "9:1,4,7,9/2,5/3/6"
 
 #: sha256 over the SVGs of every partial partition with n <= 5, in
 #: enumeration order, per (scale, colours), as the renderer wrote them
-#: before it formatted every element in one pass.
+#: before it formatted every element in one pass; the scale-1 and scale-7
+#: entries as it wrote them once labels stayed inside the viewBox.
 SVG_DIGESTS = {
-    (1, ()): "8246a5d2081b40162324210cbcee39db5fd237551fc3efb17fcf97dd267bf0ff",
-    (1, ("orange", "navy")): "66c339a8c1a933d81ee63af8b688e9589a9e40ee0f51cbf014af581a9dc5095e",
-    (7, ()): "46595a30e69702eca9b206e252d842e8f6af360c2f78f9711f3fb0efb4bd48b2",
-    (7, ("orange", "navy")): "5846408c80744ed9eea9e93e4f2fbf85b9bc90045d36081310317e8a1b944775",
+    (1, ()): "e81b080924fec1b3f755623b1b7ddd9c588f19fe085fb167774f5b0333ac0da1",
+    (1, ("orange", "navy")): "94e85a21a350df2710f2d8d102bbbac432c6c9510a5984d0f3da44b6ec17cceb",
+    (7, ()): "42c7c263d48fb5cf5360c85174813b3e439e6cbfb495c2511ff0f3dcdf47e041",
+    (7, ("orange", "navy")): "51848cb5dc934b28dc790a3f31284138f443c0b1a4e07906250f0c57f7d6ceb5",
     (24, ()): "aa849b050543d321aa2f7927376e7e872d6f44e8f3544ca0d18a1721aea71407",
     (24, ("orange", "navy")): "b142dc2109e70527427d4f89468adbb9119aa3d546ffdf85c076850537f34700",
 }
@@ -28,10 +29,11 @@ SVG_DIGESTS = {
 
 #: sha256 over the SVGs of ``_witness_sized(200)``, per (scale, colours),
 #: as the renderer wrote them before it drew through one strip-to-screen
-#: table.  Tents here reach heights the n <= 5 digests never see.
+#: table (scale 7: once labels stayed inside the viewBox).  Tents here
+#: reach heights the n <= 5 digests never see.
 WITNESS_SVG_DIGESTS = {
     (24, ()): "e857b0ee024606ea59bff972becd575d6924d70f440c543b4ef17d332efc35b4",
-    (7, ("orange", "navy")): "2086527e46f3a22fb1301a764aac2d236af209a5df02896834651a4721c4568f",
+    (7, ("orange", "navy")): "9c4ed3c46d6d546f63df4adcdbe4d29f8f844c40fa912be52588eb7ad4373203",
 }
 
 
@@ -172,6 +174,22 @@ class TestSvg:
         assert len(_svg_elements(svg, "polyline", "source-arc")) == 1
         assert len(_svg_elements(svg, "polyline", "image-arc")) == 1
         assert len(_svg_elements(svg, "circle", "baseline-vertex")) == 2
+
+    @pytest.mark.parametrize("scale", range(1, 25))
+    def test_labels_inside_the_view(self, scale):
+        # Baseline vertex j is labelled j, below it and inside the viewBox,
+        # in a font of at least 1px.
+        for text in ("0:", "1:1", PAPER_PI, "19:1,19"):
+            svg = render_overlay(parse_text(text), scale)
+            height = int(ET.fromstring(svg).get("height"))
+            vertices = _svg_elements(svg, "circle", "baseline-vertex")
+            labels = _svg_elements(svg, "text", "label")
+            assert [l.text for l in labels] == [str(j) for j in range(1, len(vertices) + 1)]
+            for vertex, label in zip(vertices, labels):
+                assert label.get("x") == vertex.get("cx")
+                assert int(vertex.get("cy")) < int(label.get("y")) <= height
+            font = re.search(r"\.label\{font:italic (\d+)px ", svg)
+            assert int(font.group(1)) >= 1
 
     def test_byte_stable(self):
         a = render_overlay(parse_text(PAPER_PI))
