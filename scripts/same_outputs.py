@@ -34,6 +34,7 @@ count --k 3 --n -1 --family E
 count --k 3 --n 3 --family C --parts 0
 count --k 3 --n 21 --family C --budget 25
 count --k 3 --n 0 --family C --budget -1
+count --k 0 --n 3 --family C --budget -1
 enumerate --n -1
 enumerate --n 21
 enumerate --n 3 --limit -1
@@ -49,6 +50,7 @@ map --input 2:1 --reverse
 map --input 9:1,4,7,9/2,5/3/6 --witnesses 9
 map --input 3:1 --witnesses -1
 render --input 2:1 --scale 0
+render --input 2:1 --scale -3
 render --input 2:1 --source-color a;b
 render --input 20:1
 oeis-check --id A999999
@@ -59,6 +61,8 @@ oeis-check --id A108304 --n-max 21 --budget 15
 oeis-check --id A000108 --budget -1
 oeis-check --id A000108 --budget 0
 oeis-check --id A000110 --n-max 26
+oeis-check --id A000110 --budget -1
+oeis-check --id A000110 --n-max -1
 bell-check --n-max 13
 bell-check --n-max -1
 bell-check --n-max 20

@@ -28,7 +28,6 @@ from .counting import (
     count_partial_E,
     verify_identity,
     verify_eigensequence,
-    distribution_table,
     IdentityReport,
 )
 
@@ -63,6 +62,5 @@ __all__ = [
     "count_partial_E",
     "verify_identity",
     "verify_eigensequence",
-    "distribution_table",
     "IdentityReport",
 ]

@@ -4,8 +4,8 @@ Exit codes: 0 success / all checks hold, 1 verification failure, 141
 stdout closed early (128 + SIGPIPE, as a shell reports it), and otherwise
 the ``exit_code`` of the ``CrossmapError`` that ended the run: 2 usage
 error, 3 budget or overflow, 4 network failure.  A value is checked once,
-by the library function that owns its cap; a command checks only the
-flags that no library function owns.
+by the library function that owns its range or cap: a command checks only
+``--limit``, and names ``--witnesses`` in ``_check_k``'s refusal of it.
 
 ``json``, ``oeis`` and ``diagram`` serve only some commands, which import
 them when they run, so every other command starts without them.
@@ -20,7 +20,7 @@ from . import counting
 from .arcs import CLASSICAL, ENHANCED, arcs_classical, arcs_enhanced
 from .bijection import forward, reverse, witness_forward
 from .crossings import CROSSING, NESTING, _check_k, count_k_witnesses, find_k_crossing, find_k_nesting
-from .errors import CrossmapError, OutOfRange, UnknownId
+from .errors import CrossmapError, InvalidK, OutOfRange, UnknownId
 from .partition import enumerate_full, enumerate_partial, parse_text
 
 EXIT_OK = 0
@@ -37,15 +37,11 @@ OEIS_CHECKS = {
 }
 
 
-def _at_least(flag: str, value: int, low: int) -> None:
-    if value < low:
-        raise OutOfRange(f"{flag} must be >= {low}, got {value}")
-
-
 def _cmd_enumerate(args) -> int:
     stream = enumerate_partial(args.n) if args.partial else enumerate_full(args.n)
     if args.limit is not None:
-        _at_least("--limit", args.limit, 0)
+        if args.limit < 0:
+            raise OutOfRange(f"--limit must be >= 0, got {args.limit}")
         stream = islice(stream, args.limit)
     for p in stream:
         print(p.to_text())
@@ -53,7 +49,6 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    _at_least("--budget", args.budget, 0)
     fn = counting.count_C if args.family == "C" else counting.count_E
     value = fn(args.k, args.n, parts=args.parts, budget=args.budget)
     print(value)
@@ -78,7 +73,10 @@ def _cmd_verify_identity(args) -> int:
 
 def _cmd_map(args) -> int:
     if args.witnesses:
-        _check_k(args.witnesses)
+        try:
+            _check_k(args.witnesses)
+        except InvalidK as exc:
+            raise InvalidK(f"--witnesses: {exc}") from exc
     p = parse_text(args.input)
     image = reverse(p) if args.reverse else forward(p)
     print(image.to_text())
@@ -107,7 +105,6 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    _at_least("--scale", args.scale, 1)
     from .diagram import render_overlay
 
     p = parse_text(args.input)
@@ -133,12 +130,8 @@ def _cmd_oeis_check(args) -> int:
 
     if args.id not in OEIS_CHECKS:
         raise UnknownId(f"no check defined for {args.id}")
-    _at_least("--budget", args.budget, 0)
-    family, k, n_max = OEIS_CHECKS[args.id]
-    if args.n_max is not None:
-        # count_table's Bell column has no ground-set check, so it is made here.
-        _at_least("--n-max", args.n_max, 0)
-        n_max = args.n_max
+    family, k, default = OEIS_CHECKS[args.id]
+    n_max = default if args.n_max is None else args.n_max
     # Counted first, so a run that fails its checks fetches and caches nothing.
     table = counting.count_table(family, k, n_max, budget=args.budget)
     ref = (

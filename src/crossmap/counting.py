@@ -15,8 +15,8 @@ independent route: a count takes it when ``parts > 1``, and
 ``count_table`` (behind ``oeis-check``) always uses it, because the
 bundled A108304/A108307 snapshots come from the same walk.  The route's one
 entry, ``_count_cached``, keeps each count: a process enumerates none twice.
-Enumerated counts and ``distribution_table`` make one pass over the raw
-label arrays of ``_iter_labels``.
+Each enumerated count makes one pass over the raw label arrays of
+``_iter_labels``.
 
 ``verify_eigensequence`` checks the reverse map against a bitmap over
 predecessor forms.  The predecessor form of a partition of a subset of
@@ -41,19 +41,19 @@ none of these checks.  The ground set, n <= 20 or n <= 19 on [n+1], is
 to it.  Enumeration also answers to the n budget (default 12) of
 ``_check_budget``, whose messages name the n and budget given: a column
 up to n_max is checked once, as its last count, so ``count_table``
-refuses an n_max as ``count --parts`` refuses that n.  The Bell check
-answers to [n_max + 1], then to ``_check_bitmap``'s memory cap.
+refuses an n_max as ``count --parts`` refuses that n.  Every route
+refuses a negative budget, after k.  The Bell check answers to
+[n_max + 1], then to ``_check_bitmap``'s memory cap.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator, NamedTuple, Optional
 
 from .arcs import _arcs
-from .crossings import CROSSING, NESTING, _check_k, _find_crossing, _walk as _witness_walk
+from .crossings import _check_k, _find_crossing
 from .errors import Overflow, OutOfBudget, OutOfRange
 from .partition import _check_n, _iter_labels
 
@@ -101,12 +101,17 @@ def bell(n: int) -> int:
     return column[n]
 
 
-def _check_budget(n: int, budget: int, shift: int = 0) -> None:
-    """Check the budget, then the ground set [n + shift], after any k; a
-    negative n skips the budget and fails ``_check_n``, as everywhere."""
+def _check_budget_range(budget: int) -> None:
+    if budget < 0:
+        raise OutOfRange(f"budget must be >= 0, got {budget}")
+
+
+def _check_budget(n: int, budget: int) -> None:
+    """Check n against the budget, then the ground set [n]; a negative n
+    skips the budget and fails ``_check_n``, as everywhere."""
     if n > budget and n >= 0:
         raise OutOfBudget(f"n={n} exceeds the enumeration budget {budget}")
-    _check_n(n, shift)
+    _check_n(n)
 
 
 def _check_bitmap(n: int) -> int:
@@ -184,6 +189,7 @@ def _walk(k: int, n: int, enhanced: bool, partial: bool) -> list[int]:
 
 def _count(k: int, n: int, budget: int, enhanced: bool, partial: bool, parts: int) -> int:
     _check_k(k)
+    _check_budget_range(budget)
     if parts > 1:
         _check_budget(n, budget)
         return _count_cached(k, n, enhanced, partial)
@@ -429,67 +435,21 @@ def _bell_reports(n_max: int) -> Iterator[IdentityReport]:
     return (verify_eigensequence(n) for n in range(n_max + 1))
 
 
-class DistributionRow(NamedTuple):
-    kind: str
-    k: int
-    partial_enhanced: int
-    full_classical: int
-
-    @property
-    def match(self) -> bool:
-        return self.partial_enhanced == self.full_classical
-
-
-class DistributionTable(NamedTuple):
-    """Distribution of maximal crossing/nesting orders on both sides.
-
-    For each k, pairs the number of partitions of subsets of [n] whose
-    maximal enhanced order is exactly k with the number of full partitions
-    of [n+1] whose maximal classical order is exactly k.
-    """
-
-    n: int
-    rows: tuple[DistributionRow, ...]
-
-    @property
-    def all_match(self) -> bool:
-        return all(r.match for r in self.rows)
-
-
-def _orders(n: int, partial: bool, enhanced: bool) -> dict[str, Counter]:
-    """Per kind, how many label arrays of [n] have each maximal order."""
-    orders = {CROSSING: Counter(), NESTING: Counter()}
-    for labels in _iter_labels(n, partial):
-        for kind, (counts, _) in _witness_walk(_arcs(labels, enhanced), not enhanced).items():
-            orders[kind][len(counts) - 1] += 1
-    return orders
-
-
-def distribution_table(n: int, k_max: int, budget: int = 9) -> DistributionTable:
-    _check_budget(n, budget, shift=1)
-    if k_max < 0:
-        raise OutOfRange(f"k_max must be >= 0, got {k_max}")
-    part = _orders(n, partial=True, enhanced=True)
-    full = _orders(n + 1, partial=False, enhanced=False)
-    rows = tuple(
-        DistributionRow(kind, k, part[kind][k], full[kind][k])
-        for k in range(k_max + 1)
-        for kind in (CROSSING, NESTING)
-    )
-    return DistributionTable(n, rows)
-
-
 def count_table(family: str, k: Optional[int], n_max: int, budget: int = DEFAULT_BUDGET) -> dict[int, int]:
     """One counting family for n = 0..n_max, as the column {n: value}.
 
     Counts come from enumeration, never from the walk, so comparing them
-    with the walk-generated snapshots is an independent check.  The C and
-    E columns check k, then n_max as ``count --parts`` checks its n.
+    with the walk-generated snapshots is an independent check.  A column
+    checks k (C and E), the budget, then n_max, as ``count --parts`` does.
     """
     if family == FAMILY_BELL:
+        _check_budget_range(budget)
+        if n_max < 0:
+            raise OutOfRange(f"n must be >= 0, got {n_max}")
         return {n: bell(n) for n in range(n_max + 1)}
     if family not in (FAMILY_C, FAMILY_E):
         raise OutOfRange(f"unknown family {family!r}")
     _check_k(k)
+    _check_budget_range(budget)
     _check_budget(n_max, budget)
     return {n: _count_cached(k, n, family == FAMILY_E, False) for n in range(n_max + 1)}

@@ -35,9 +35,11 @@ def _frame(
     Strip point (x, y) is drawn at ((x + 1) * scale, (top + 1 - y) * scale),
     a margin of one scale all round; X and Y hold that map as text.  The
     head is the XML declaration, the <svg> tag and the style; the tail is
-    the vertices, their labels and the closing tag.  The colours are checked
-    first, so a frame with a bad colour is never cached.
+    the vertices, their labels and the closing tag.  The scale and colours
+    are checked first, so a frame with a bad one is never cached.
     """
+    if scale < 1:
+        raise OutOfRange(f"scale must be >= 1, got {scale}")
     for color in (source_color, image_color):
         if not _COLOR.fullmatch(color):
             raise OutOfRange(f"colour must be # plus hex digits or a name, got {color!r}")
@@ -80,15 +82,15 @@ def render_overlay(
 ) -> str:
     """Standalone SVG overlay of p and forward(p); byte-stable per input.
 
-    A colour is ``#`` plus hex digits or a plain colour name.  Everything
-    but the polylines comes from a cached frame per (n, top, scale,
-    colours), so a colour is checked when its frame is first built.
+    The scale is at least 1 and a colour is ``#`` plus hex digits or a
+    colour name.  All but the polylines comes from a frame cached per
+    (n, top, scale, colours), so each is checked when its frame is built.
     """
     source = arcs_enhanced(p).arcs
     # A loop's tent is 2 high, the tent of an arc (x, y) y - x + 1.
     top = max([2 if x == y else y - x + 1 for x, y in source], default=1) + 1
-    # The frame is taken before the tents, so a bad colour is reported
-    # before an image past MAX_N.
+    # The frame is taken before the tents, so a bad scale or colour is
+    # reported before an image past MAX_N.
     head, X, Y, tail = _frame(p.n, top, scale, source_color, image_color)
     image_n(p)  # raises as forward(p) would when the image passes MAX_N
     lines = [head]

@@ -295,7 +295,7 @@ class TestMap:
     def test_witnesses_past_max_k_exit_2(self, capsys):
         # K is checked before the image or any table row is printed.
         assert run(capsys, "map", "--input", PAPER_PI, "--witnesses", "9") == (
-            2, "", "error: k is capped at 8, got 9\n"
+            2, "", "error: --witnesses: k is capped at 8, got 9\n"
         )
 
     def test_witness_table_walks_once_per_side(self, capsys, monkeypatch):
@@ -537,25 +537,27 @@ class TestFlagRanges:
         "argv, err",
         [
             (["enumerate", "--n", "3", "--limit", "-1"], "--limit must be >= 0, got -1"),
-            (["render", "--input", PAPER_PI, "--scale", "0"], "--scale must be >= 1, got 0"),
-            (["render", "--input", PAPER_PI, "--scale", "-5"], "--scale must be >= 1, got -5"),
-            (["map", "--input", PAPER_PI, "--witnesses", "-1"], "k must be >= 1, got -1"),
+            (["render", "--input", PAPER_PI, "--scale", "0"], "scale must be >= 1, got 0"),
+            (["render", "--input", PAPER_PI, "--scale", "-5"], "scale must be >= 1, got -5"),
+            (["map", "--input", PAPER_PI, "--witnesses", "-1"], "--witnesses: k must be >= 1, got -1"),
             (["verify-identity", "--k", "3", "--n-max", "-1"], "n must be in 0..19, got -1"),
             (["verify-identity", "--k", "3", "--n-max", "-1", "--json"], "n must be in 0..19, got -1"),
             (["bell-check", "--n-max", "-1"], "n must be in 0..19, got -1"),
-            (["count", "--k", "3", "--n", "0", "--family", "C", "--budget", "-1"], "--budget must be >= 0, got -1"),
-            (["oeis-check", "--id", "A000110", "--budget", "-1"], "--budget must be >= 0, got -1"),
-            (["oeis-check", "--id", "A000108", "--budget", "-1"], "--budget must be >= 0, got -1"),
+            (["count", "--k", "3", "--n", "0", "--family", "C", "--budget", "-1"], "budget must be >= 0, got -1"),
+            (["oeis-check", "--id", "A000110", "--budget", "-1"], "budget must be >= 0, got -1"),
+            (["oeis-check", "--id", "A000108", "--budget", "-1"], "budget must be >= 0, got -1"),
             (["count", "--k", "3", "--n", "0", "--family", "C", "--parts", "2", "--budget", "-1"],
-             "--budget must be >= 0, got -1"),
+             "budget must be >= 0, got -1"),
             (["render", "--input", "2:1", "--source-color", '}</style><x y="'],
              "colour must be # plus hex digits or a name, got '}</style><x y=\"'"),
             (["render", "--input", "2:1", "--image-color", "red;x"],
              "colour must be # plus hex digits or a name, got 'red;x'"),
             (["render", "--input", "2:1", "--source-color", ""], "colour must be # plus hex digits or a name, got ''"),
             (["render", "--input", "2:1", "--image-color", "#12g"], "colour must be # plus hex digits or a name, got '#12g'"),
-            (["oeis-check", "--id", "A000108", "--n-max", "-1"], "--n-max must be >= 0, got -1"),
-            (["oeis-check", "--id", "A000108", "--n-max", "-1", "--fetch"], "--n-max must be >= 0, got -1"),
+            (["oeis-check", "--id", "A000108", "--n-max", "-1"], "n must be in 0..20, got -1"),
+            (["oeis-check", "--id", "A000108", "--n-max", "-1", "--fetch"], "n must be in 0..20, got -1"),
+            (["map", "--input", PAPER_PI, "--witnesses", "9"], "--witnesses: k is capped at 8, got 9"),
+            (["oeis-check", "--id", "A000110", "--n-max", "-1"], "n must be >= 0, got -1"),
         ],
     )
     def test_out_of_range_exit_2(self, capsys, argv, err):
@@ -574,8 +576,12 @@ class TestFlagRanges:
 
     @pytest.mark.parametrize(
         "argv",
-        [["count", "--k", "0", "--n", "-1", "--family", "C"], ["verify-identity", "--k", "0", "--n-max", "-1"]],
-        ids=["count", "verify-identity"],
+        [
+            ["count", "--k", "0", "--n", "-1", "--family", "C"],
+            ["verify-identity", "--k", "0", "--n-max", "-1"],
+            ["count", "--k", "0", "--n", "3", "--family", "C", "--budget", "-1"],
+        ],
+        ids=["count", "verify-identity", "count-budget"],
     )
     def test_bad_k_reported_before_bad_n(self, capsys, argv):
         assert run(capsys, *argv) == (2, "", "error: k must be >= 1, got 0\n")

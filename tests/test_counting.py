@@ -4,11 +4,10 @@ import inspect
 import math
 import textwrap
 import tracemalloc
-from collections import Counter
 
 import pytest
 
-from crossmap import counting, partition
+from crossmap import counting
 from crossmap.counting import (
     DEFAULT_BUDGET,
     INT64_MAX,
@@ -22,13 +21,12 @@ from crossmap.counting import (
     count_E,
     count_partial_E,
     count_table,
-    distribution_table,
     verify_eigensequence,
     verify_identity,
 )
 from crossmap.errors import InvalidK, Overflow, OutOfBudget, OutOfRange
-from crossmap.arcs import CLASSICAL, ENHANCED, arcs_classical, arcs_enhanced
-from crossmap.crossings import max_crossing_number, max_nesting_number
+from crossmap.arcs import arcs_classical, arcs_enhanced
+from crossmap.crossings import find_k_crossing
 from crossmap.oeis import bundled
 from crossmap.bijection import reverse
 from crossmap.partition import enumerate_full, enumerate_partial, parse_text
@@ -148,7 +146,7 @@ class TestCounts:
             count_C(0, 3)
 
     def test_every_count_needs_a_k(self):
-        # Only verify_eigensequence and distribution_table run without a k.
+        # Only verify_eigensequence and the Bell column run without a k.
         with pytest.raises(InvalidK):
             count_C(None, 3)
         with pytest.raises(InvalidK):
@@ -174,6 +172,62 @@ class TestCounts:
         assert count_C(3, 7, parts=parts) == 859
         assert count_E(3, 7, parts=parts) == 772
         assert count_partial_E(2, 5, parts=parts) == count_partial_E(2, 5)
+
+    @pytest.mark.parametrize(
+        "count, args",
+        [
+            (count_C, (2, 5)),
+            (count_E, (2, 5)),
+            (count_partial_E, (2, 5)),
+            (count_C, (2, 5, 2)),
+            (count_E, (2, 5, 2)),
+            (count_partial_E, (2, 5, 3)),
+            (count_table, ("C", 3, 2)),
+            (count_table, ("E", 3, 2)),
+            (count_table, ("Bell", None, 2)),
+        ],
+        ids=["C", "E", "partial_E", "C-parts", "E-parts", "partial_E-parts", "table-C", "table-E", "table-Bell"],
+    )
+    def test_negative_budget_is_out_of_range(self, count, args):
+        # On every route and family, as a usage error (exit 2), not as a
+        # budget refusal: no n has been compared with it yet.
+        with pytest.raises(OutOfRange) as err:
+            count(*args, budget=-5)
+        assert str(err.value) == "budget must be >= 0, got -5" and err.value.exit_code == 2
+
+    def test_budget_checked_after_k_and_before_n(self):
+        with pytest.raises(InvalidK, match="^k must be >= 1, got 0$"):
+            count_C(0, -1, budget=-1)
+        with pytest.raises(InvalidK, match="^k must be >= 1, got 0$"):
+            count_table("E", 0, 2, budget=-1)
+        for call in (
+            lambda: count_C(2, -1, budget=-1),
+            lambda: count_E(2, 21, parts=2, budget=-1),
+            lambda: count_table("C", 3, 25, budget=-1),
+            lambda: count_table("Bell", None, -1, budget=-1),
+        ):
+            with pytest.raises(OutOfRange, match="^budget must be >= 0, got -1$"):
+                call()
+
+    def test_every_column_refuses_a_negative_n_max(self):
+        with pytest.raises(OutOfRange, match="^n must be >= 0, got -1$"):
+            count_table("Bell", None, -1)
+        with pytest.raises(OutOfRange, match=r"^n must be in 0\.\.20, got -1$"):
+            count_table("C", 3, -1)
+        assert count_table("Bell", None, 0) == {0: 1}
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_enumeration_matches_validated_objects(self, n):
+        # The raw label-array route against partitions and arc sets built
+        # through the validating public API.
+        for k in range(1, 5):
+            for enhanced, partial, stream, arcs in (
+                (False, False, enumerate_full, arcs_classical),
+                (True, False, enumerate_full, arcs_enhanced),
+                (True, True, enumerate_partial, arcs_enhanced),
+            ):
+                want = sum(find_k_crossing(arcs(p), k) is None for p in stream(n))
+                assert counting._count_cached(k, n, enhanced, partial) == want, (k, enhanced, partial)
 
 
 def _enumerated(k, n, enhanced, partial=False):
@@ -693,64 +747,6 @@ class TestPredecessorForms:
             admitted.append(n)
         assert admitted == list(range(13))
         assert max(admitted) + 1 <= 16 and words(0).itemsize == 2
-
-
-class TestDistribution:
-    def test_n0(self):
-        t = distribution_table(0, k_max=1)
-        row = next(r for r in t.rows if r.kind == "crossing" and r.k == 0)
-        assert row.partial_enhanced == row.full_classical == 1
-        assert t.all_match
-
-    def test_n4_crossings(self):
-        t = distribution_table(4, k_max=3)
-        assert t.all_match
-        total = sum(r.partial_enhanced for r in t.rows if r.kind == "crossing")
-        assert total == bell(5)
-
-    def test_n5_nestings(self):
-        t = distribution_table(5, k_max=3)
-        for r in t.rows:
-            if r.kind == "nesting":
-                assert r.match
-
-    def test_budget(self):
-        with pytest.raises(OutOfBudget):
-            distribution_table(10, k_max=2)
-
-    @pytest.mark.parametrize("n", range(7))
-    def test_matches_validated_objects(self, n):
-        # The label-array route against partitions and arc sets built through
-        # the validating public API.
-        def tally(arc_sets, mode):
-            return {
-                kind: Counter(order(a, mode) for a in arc_sets)
-                for kind, order in (("crossing", max_crossing_number), ("nesting", max_nesting_number))
-            }
-
-        part = tally([arcs_enhanced(p) for p in enumerate_partial(n)], ENHANCED)
-        full = tally([arcs_classical(q) for q in enumerate_full(n + 1)], CLASSICAL)
-        expected = [
-            (kind, k, part[kind][k], full[kind][k])
-            for k in range(5)
-            for kind in ("crossing", "nesting")
-        ]
-        rows = distribution_table(n, 4).rows
-        assert [(r.kind, r.k, r.partial_enhanced, r.full_classical) for r in rows] == expected
-
-    def test_ground_set_cap_checked_before_enumerating(self, monkeypatch):
-        # Bell(21) items of [20] would take days; the check must come first.
-        def no_enumeration(*args):
-            raise AssertionError("nothing may be enumerated here")
-
-        monkeypatch.setattr(partition, "_iter_labels", no_enumeration)
-        monkeypatch.setattr(counting, "_iter_labels", no_enumeration)
-        with pytest.raises(OutOfRange, match="n must be in 0..19, got 20"):
-            distribution_table(20, 2, budget=25)
-
-    def test_negative_k_max(self):
-        with pytest.raises(OutOfRange, match="k_max must be >= 0, got -1"):
-            distribution_table(3, -1)
 
 
 class TestSequenceTable:

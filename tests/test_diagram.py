@@ -235,3 +235,11 @@ class TestSvg:
         assert 'width="480"' in render_overlay(p, 24)
         assert 'width="480.0"' in render_overlay(p, 24.0)
         assert 'width="480"' in render_overlay(p, 24)
+
+    @pytest.mark.parametrize("scale", [0, -3])
+    def test_scale_below_1_is_refused(self, scale):
+        # Checked with the colours, on a frame's first build, so a bad
+        # scale is never cached.
+        for _ in range(2):
+            with pytest.raises(OutOfRange, match=f"^scale must be >= 1, got {scale}$"):
+                render_overlay(parse_text("2:1"), scale)

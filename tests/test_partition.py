@@ -216,8 +216,7 @@ class TestEnumeration:
         "m, partial", [(m, False) for m in range(10)] + [(m, True) for m in range(9)]
     )
     def test_raw_arrays_are_valid_partitions(self, m, partial):
-        # Enumerated counts and distribution_table use these arrays
-        # unchecked.
+        # Enumerated counts use these arrays unchecked.
         seen = [PartialPartition(m, tuple(labels)).labels for labels in _iter_labels(m, partial)]
         assert partial or all(0 not in labels for labels in seen)
         assert len(seen) == len(set(seen)) == bell_triangle(m + 1 if partial else m)

@@ -11,20 +11,11 @@ import pickle
 import pytest
 
 from crossmap.arcs import CLASSICAL, ENHANCED, Arc, ArcSet, arcs_enhanced
-from crossmap.counting import (
-    DistributionRow,
-    DistributionTable,
-    IdentityReport,
-    verify_eigensequence,
-    verify_identity,
-)
+from crossmap.counting import IdentityReport, verify_eigensequence, verify_identity
 from crossmap.crossings import CROSSING, NESTING, CrossingWitness
 from crossmap.errors import OutOfRange
 from crossmap.oeis import RefSequence, SequenceDiff
 from crossmap.partition import PartialPartition
-
-ROW = DistributionRow(CROSSING, 2, 3, 3)
-
 
 def one_field_changed(values, others):
     """``values`` with each field in turn replaced by its entry in ``others``."""
@@ -65,19 +56,6 @@ RECORDS = [
         ),
         "IdentityReport(k=3, n=2, lhs=5, rhs_terms=[1, 2, 2], rhs=5, holds=True, "
         "rhs_direct=5, routes=None)",
-    ),
-    (
-        DistributionRow,
-        (CROSSING, 2, 3, 3),
-        one_field_changed((CROSSING, 2, 3, 3), (NESTING, 1, 2, 4)),
-        "DistributionRow(kind='crossing', k=2, partial_enhanced=3, full_classical=3)",
-    ),
-    (
-        DistributionTable,
-        (1, (ROW,)),
-        one_field_changed((1, (ROW,)), (2, ())),
-        "DistributionTable(n=1, rows=(DistributionRow(kind='crossing', k=2, "
-        "partial_enhanced=3, full_classical=3),))",
     ),
     (
         RefSequence,
