@@ -33,6 +33,7 @@ TERMS = 16
 
 sys.path.insert(0, str(SRC))
 from crossmap.counting import _count_cached, _walk  # noqa: E402
+from crossmap.oeis import _bfile_name  # noqa: E402
 
 
 def catalan(nmax: int) -> list[int]:
@@ -64,7 +65,7 @@ def walk(k: int, enhanced: bool) -> list[int]:
 
 
 def write_bfile(oeis_id: str, values: list[int]) -> None:
-    path = DATA_DIR / f"b{oeis_id[1:]}.txt"
+    path = DATA_DIR / _bfile_name(oeis_id)
     lines = [f"# {oeis_id}, offset 0, regenerated by scripts/generate_refs.py"]
     lines += [f"{n} {v}" for n, v in enumerate(values)]
     path.write_text("\n".join(lines) + "\n")

@@ -25,7 +25,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PAPER_PI = "9:1,4,7,9/2,5/3/6"
 PAPER_PI_HAT = "10:1,5/2,6,7,10/3,4,8/9"
-OEIS_IDS = ("A000108", "A001006", "A108304", "A108307", "A000110")
 #: Error cases: each fails one of the checks a command makes before it runs.
 ERRORS = """\
 count --k 0 --n 3 --family C
@@ -101,7 +100,8 @@ def commands() -> list[list[str]]:
     out += [["count", "--k", str(k), "--n", str(n), "--family", family, "--parts", "2"]
             for family in "CE" for k in range(1, 5) for n in range(11)]
     out += [["enumerate", "--n", str(n), *partial] for partial in ([], ["--partial"]) for n in range(7)]
-    out += [["oeis-check", "--id", oeis_id] for oeis_id in OEIS_IDS]
+    out += [["oeis-check", "--id", "A" + path.stem[1:]]
+            for path in sorted((ROOT / "src" / "crossmap" / "data").glob("b*.txt"))]
     return out + [line.split(" ") for line in ERRORS.splitlines()]
 
 

@@ -17,6 +17,12 @@ CLASSICAL = "classical"
 ENHANCED = "enhanced"
 
 
+def _strict(mode: str) -> bool:
+    if mode not in (CLASSICAL, ENHANCED):
+        raise OutOfRange(f"unknown arc mode {mode!r}")
+    return mode == CLASSICAL
+
+
 class Arc(NamedTuple):
     left: int
     right: int
@@ -42,8 +48,7 @@ class ArcSet(_Record):
 
     def __init__(self, mode: str, arcs: Iterable[Arc]):
         arcs = tuple(arcs)
-        if mode not in (CLASSICAL, ENHANCED):
-            raise OutOfRange(f"unknown arc mode {mode!r}")
+        strict = _strict(mode)
         lefts = [a.left for a in arcs]
         rights = [a.right for a in arcs]
         if lefts != sorted(lefts) or len(set(lefts)) != len(lefts):
@@ -53,7 +58,7 @@ class ArcSet(_Record):
         for a in arcs:
             if not 1 <= a.left <= a.right:
                 raise OutOfRange(f"bad arc {a}")
-            if a.is_loop and mode == CLASSICAL:
+            if a.is_loop and strict:
                 raise OutOfRange("classical arc sets cannot contain loops")
         _fill(self, mode, arcs)
 

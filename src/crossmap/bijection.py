@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from .arcs import Arc, CLASSICAL, ENHANCED, _new, arcs_enhanced
 from .crossings import CrossingWitness
-from .errors import OutOfRange
-from .partition import PartialPartition, _check_n, _trusted, require_full
+from .errors import NotFull, OutOfRange
+from .partition import PartialPartition, _check_n, _trusted
 
 
 def _from_successors(succ: list[int], n: int) -> tuple[int, ...]:
@@ -55,7 +55,8 @@ def reverse(q: PartialPartition) -> PartialPartition:
     Raises NotFull when q has absent elements and OutOfRange when q is the
     partition of the empty set, which is no partition of [n+1].
     """
-    require_full(q)
+    if not q.is_full:
+        raise NotFull(f"partition {q} has absent elements")
     if q.n == 0:
         raise OutOfRange("reverse needs a partition of [n+1] with n >= 0, got one of [0]")
     succ = [0] * q.n

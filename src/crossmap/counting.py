@@ -445,7 +445,7 @@ def count_table(family: str, k: Optional[int], n_max: int, budget: int = DEFAULT
     if family == FAMILY_BELL:
         _check_budget_range(budget)
         if n_max < 0:
-            raise OutOfRange(f"n must be >= 0, got {n_max}")
+            bell(n_max)  # bell owns the range of n, and refuses this one
         return {n: bell(n) for n in range(n_max + 1)}
     if family not in (FAMILY_C, FAMILY_E):
         raise OutOfRange(f"unknown family {family!r}")

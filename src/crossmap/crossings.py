@@ -25,7 +25,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .arcs import Arc, ArcSet, CLASSICAL, ENHANCED, _new
+from .arcs import Arc, ArcSet, _new, _strict
 from .errors import InvalidK, OutOfRange, TooManyArcs
 
 CROSSING = "crossing"
@@ -67,12 +67,6 @@ def _check_k(k: int) -> None:
 def _check_kind(kind: str) -> None:
     if kind not in (CROSSING, NESTING):
         raise OutOfRange(f"unknown witness kind {kind!r}")
-
-
-def _strict(mode: str) -> bool:
-    if mode not in (CLASSICAL, ENHANCED):
-        raise OutOfRange(f"unknown arc mode {mode!r}")
-    return mode == CLASSICAL
 
 
 def _deeper(arcs: Sequence[Arc], level: list, nesting: bool, end: int) -> list:

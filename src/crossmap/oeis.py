@@ -1,12 +1,13 @@
 """Reference integer sequences: bundled snapshots and OEIS b-file fetching.
 
-Snapshots live under ``crossmap/data`` in plain b-file format and are the
-default for tests (no network).  ``fetch_bfile`` downloads the live b-file
-with the standard library's ``urllib.request``, caches the raw bytes under
-``$CROSSMAP_CACHE_DIR`` (default ``~/.cache/crossmap``) once they parse, and
-falls back to the cache when offline.  Both paths go through the same
-parser.  ``urllib`` is imported inside ``fetch_bfile``, so only a fetch
-loads ``http.client`` and ``ssl``; every other command starts without them.
+Snapshots live under ``crossmap/data`` in plain b-file format, one file per
+bundled id, and are the default for tests (no network).  ``fetch_bfile``
+downloads the live b-file with the standard library's ``urllib.request``,
+caches the raw bytes under ``$CROSSMAP_CACHE_DIR`` (default
+``~/.cache/crossmap``) once they parse, and falls back to the cache when
+offline.  Both paths go through the same parser.  ``urllib`` is imported
+inside ``fetch_bfile``, so only a fetch loads ``http.client`` and ``ssl``;
+every other command starts without them.
 """
 from __future__ import annotations
 
@@ -19,11 +20,9 @@ from typing import NamedTuple, Optional
 
 from .errors import NetworkError, NoOverlap, OutOfRange, ParseError, UnknownId
 
-BUNDLED_IDS = ("A000108", "A001006", "A108304", "A108307", "A000110")
-
 #: The whole id, in ASCII digits: ``\d`` takes other digits, ``$`` a final newline.
 _ID = re.compile(r"A[0-9]{6}")
-_BFILE_URL = "https://oeis.org/{id}/b{digits}.txt"
+_BFILE_URL = "https://oeis.org/{id}/{name}"
 DEFAULT_TIMEOUT = 10.0
 
 
@@ -40,6 +39,11 @@ class RefSequence(NamedTuple):
 def _check_id(oeis_id: str) -> None:
     if not _ID.fullmatch(oeis_id):
         raise UnknownId(f"malformed OEIS id {oeis_id!r}")
+
+
+def _bfile_name(oeis_id: str) -> str:
+    """The b-file's name, as OEIS, the data files and the cache spell it."""
+    return f"b{oeis_id[1:]}.txt"
 
 
 def parse_bfile(text: str, oeis_id: str, limit: Optional[int] = None) -> RefSequence:
@@ -71,21 +75,17 @@ def parse_bfile(text: str, oeis_id: str, limit: Optional[int] = None) -> RefSequ
 
 
 def bundled(oeis_id: str) -> RefSequence:
-    """The snapshot shipped with the package."""
+    """The snapshot shipped with the package: its data file for the id."""
     _check_id(oeis_id)
-    if oeis_id not in BUNDLED_IDS:
+    path = resources.files("crossmap") / "data" / _bfile_name(oeis_id)
+    if not path.is_file():
         raise UnknownId(f"no bundled snapshot for {oeis_id}")
-    text = (resources.files("crossmap") / "data" / f"b{oeis_id[1:]}.txt").read_text()
-    return parse_bfile(text, oeis_id)
+    return parse_bfile(path.read_text(), oeis_id)
 
 
 def cache_dir() -> Path:
     env = os.environ.get("CROSSMAP_CACHE_DIR")
     return Path(env) if env else Path.home() / ".cache" / "crossmap"
-
-
-def _cache_path(oeis_id: str) -> Path:
-    return cache_dir() / f"b{oeis_id[1:]}.txt"
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -110,8 +110,9 @@ def fetch_bfile(oeis_id: str, limit: int) -> RefSequence:
     import urllib.error
     import urllib.request
 
-    url = _BFILE_URL.format(id=oeis_id, digits=oeis_id[1:])
-    cache = _cache_path(oeis_id)
+    name = _bfile_name(oeis_id)
+    url = _BFILE_URL.format(id=oeis_id, name=name)
+    cache = cache_dir() / name
     try:
         with urllib.request.urlopen(url, timeout=DEFAULT_TIMEOUT) as resp:
             content = resp.read()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from typing import Iterator, Sequence
 
-from .errors import DuplicateElement, EmptyBlock, NotFull, OutOfRange, ParseError
+from .errors import DuplicateElement, EmptyBlock, OutOfRange, ParseError
 
 #: Largest ambient ground set the package accepts anywhere.
 MAX_N = 20
@@ -210,8 +210,3 @@ def enumerate_partial(n: int) -> Iterator[PartialPartition]:
     """
     _check_n(n)
     return (PartialPartition(n, tuple(labels)) for labels in _iter_labels(n, partial=True))
-
-
-def require_full(p: PartialPartition) -> None:
-    if not p.is_full:
-        raise NotFull(f"partition {p} has absent elements")

@@ -14,6 +14,7 @@ from crossmap import cli, counting, crossings, errors
 from crossmap.bijection import forward
 from crossmap.cli import main
 from test_counting import WALK_AT_CAP
+from test_scripts import SAME_OUTPUTS, _load
 
 PAPER_PI = "9:1,4,7,9/2,5/3/6"
 PAPER_PI_HAT = "10:1,5/2,6,7,10/3,4,8/9"
@@ -51,16 +52,8 @@ README_DIGESTS = {
 }
 
 
-def _readme_commands():
-    """argv lists of the ``crossmap`` lines in the README's ``sh`` blocks."""
-    commands = []
-    in_sh = False
-    for line in README.read_text(encoding="utf-8").splitlines():
-        if line.startswith("```"):
-            in_sh = line == "```sh"
-        elif in_sh and line.startswith("crossmap "):
-            commands.append(shlex.split(line, comments=True)[1:])
-    return commands
+#: argv of every ``crossmap`` line in the README's ``sh`` blocks, except ``--fetch``.
+README_COMMANDS = _load(SAME_OUTPUTS).readme_commands()
 
 
 def run(capsys, *argv):
@@ -372,7 +365,7 @@ class TestRender:
 
 
 class TestOeisCheck:
-    @pytest.mark.parametrize("oeis_id", ["A000108", "A001006", "A108304", "A108307", "A000110"])
+    @pytest.mark.parametrize("oeis_id", list(cli.OEIS_CHECKS))
     def test_bundled_ok(self, capsys, oeis_id):
         code, out, _ = run(capsys, "oeis-check", "--id", oeis_id)
         assert code == 0 and out.startswith("OK (")
@@ -532,34 +525,35 @@ class TestBellCheck:
         assert "counting._check_" not in Path(cli.__file__).read_text(encoding="utf-8")
 
 
+#: (argv, stderr message) of a refusal with exit 2, one per checked range.
+OUT_OF_RANGE = [
+    (["enumerate", "--n", "3", "--limit", "-1"], "--limit must be >= 0, got -1"),
+    (["render", "--input", PAPER_PI, "--scale", "0"], "scale must be >= 1, got 0"),
+    (["render", "--input", PAPER_PI, "--scale", "-5"], "scale must be >= 1, got -5"),
+    (["map", "--input", PAPER_PI, "--witnesses", "-1"], "--witnesses: k must be >= 1, got -1"),
+    (["verify-identity", "--k", "3", "--n-max", "-1"], "n must be in 0..19, got -1"),
+    (["verify-identity", "--k", "3", "--n-max", "-1", "--json"], "n must be in 0..19, got -1"),
+    (["bell-check", "--n-max", "-1"], "n must be in 0..19, got -1"),
+    (["count", "--k", "3", "--n", "0", "--family", "C", "--budget", "-1"], "budget must be >= 0, got -1"),
+    (["oeis-check", "--id", "A000110", "--budget", "-1"], "budget must be >= 0, got -1"),
+    (["oeis-check", "--id", "A000108", "--budget", "-1"], "budget must be >= 0, got -1"),
+    (["count", "--k", "3", "--n", "0", "--family", "C", "--parts", "2", "--budget", "-1"],
+     "budget must be >= 0, got -1"),
+    (["render", "--input", "2:1", "--source-color", '}</style><x y="'],
+     "colour must be # plus hex digits or a name, got '}</style><x y=\"'"),
+    (["render", "--input", "2:1", "--image-color", "red;x"],
+     "colour must be # plus hex digits or a name, got 'red;x'"),
+    (["render", "--input", "2:1", "--source-color", ""], "colour must be # plus hex digits or a name, got ''"),
+    (["render", "--input", "2:1", "--image-color", "#12g"], "colour must be # plus hex digits or a name, got '#12g'"),
+    (["oeis-check", "--id", "A000108", "--n-max", "-1"], "n must be in 0..20, got -1"),
+    (["oeis-check", "--id", "A000108", "--n-max", "-1", "--fetch"], "n must be in 0..20, got -1"),
+    (["map", "--input", PAPER_PI, "--witnesses", "9"], "--witnesses: k is capped at 8, got 9"),
+    (["oeis-check", "--id", "A000110", "--n-max", "-1"], "n must be >= 0, got -1"),
+]
+
+
 class TestFlagRanges:
-    @pytest.mark.parametrize(
-        "argv, err",
-        [
-            (["enumerate", "--n", "3", "--limit", "-1"], "--limit must be >= 0, got -1"),
-            (["render", "--input", PAPER_PI, "--scale", "0"], "scale must be >= 1, got 0"),
-            (["render", "--input", PAPER_PI, "--scale", "-5"], "scale must be >= 1, got -5"),
-            (["map", "--input", PAPER_PI, "--witnesses", "-1"], "--witnesses: k must be >= 1, got -1"),
-            (["verify-identity", "--k", "3", "--n-max", "-1"], "n must be in 0..19, got -1"),
-            (["verify-identity", "--k", "3", "--n-max", "-1", "--json"], "n must be in 0..19, got -1"),
-            (["bell-check", "--n-max", "-1"], "n must be in 0..19, got -1"),
-            (["count", "--k", "3", "--n", "0", "--family", "C", "--budget", "-1"], "budget must be >= 0, got -1"),
-            (["oeis-check", "--id", "A000110", "--budget", "-1"], "budget must be >= 0, got -1"),
-            (["oeis-check", "--id", "A000108", "--budget", "-1"], "budget must be >= 0, got -1"),
-            (["count", "--k", "3", "--n", "0", "--family", "C", "--parts", "2", "--budget", "-1"],
-             "budget must be >= 0, got -1"),
-            (["render", "--input", "2:1", "--source-color", '}</style><x y="'],
-             "colour must be # plus hex digits or a name, got '}</style><x y=\"'"),
-            (["render", "--input", "2:1", "--image-color", "red;x"],
-             "colour must be # plus hex digits or a name, got 'red;x'"),
-            (["render", "--input", "2:1", "--source-color", ""], "colour must be # plus hex digits or a name, got ''"),
-            (["render", "--input", "2:1", "--image-color", "#12g"], "colour must be # plus hex digits or a name, got '#12g'"),
-            (["oeis-check", "--id", "A000108", "--n-max", "-1"], "n must be in 0..20, got -1"),
-            (["oeis-check", "--id", "A000108", "--n-max", "-1", "--fetch"], "n must be in 0..20, got -1"),
-            (["map", "--input", PAPER_PI, "--witnesses", "9"], "--witnesses: k is capped at 8, got 9"),
-            (["oeis-check", "--id", "A000110", "--n-max", "-1"], "n must be >= 0, got -1"),
-        ],
-    )
+    @pytest.mark.parametrize("argv, err", OUT_OF_RANGE, ids=[shlex.join(argv) for argv, _ in OUT_OF_RANGE])
     def test_out_of_range_exit_2(self, capsys, argv, err):
         assert run(capsys, *argv) == (2, "", f"error: {err}\n")
 
@@ -632,13 +626,9 @@ def _run_readme_line(capsys, argv, tmp_path):
 
 class TestReadme:
     def test_readme_has_cli_lines(self):
-        assert len(_readme_commands()) >= 10
+        assert len(README_COMMANDS) >= 10
 
-    @pytest.mark.parametrize(
-        "argv",
-        [argv for argv in _readme_commands() if "--fetch" not in argv],
-        ids=" ".join,
-    )
+    @pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
     def test_line_output_is_unchanged(self, capsys, tmp_path, argv):
         assert _run_readme_line(capsys, argv, tmp_path) == README_DIGESTS[" ".join(argv)]
 

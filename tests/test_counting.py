@@ -26,10 +26,10 @@ from crossmap.counting import (
 )
 from crossmap.errors import InvalidK, Overflow, OutOfBudget, OutOfRange
 from crossmap.arcs import arcs_classical, arcs_enhanced
-from crossmap.crossings import find_k_crossing
+from crossmap.crossings import CROSSING, find_k_crossing, oracle_find
 from crossmap.oeis import bundled
 from crossmap.bijection import reverse
-from crossmap.partition import enumerate_full, enumerate_partial, parse_text
+from crossmap.partition import PartialPartition, _iter_labels, enumerate_full, enumerate_partial, parse_text
 
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975]
@@ -324,6 +324,49 @@ class TestWalk:
         monkeypatch.setattr(counting, "_walk", _no_walk)
         assert list(count_table("C", 3, 9).values()) == [
             1, 1, 2, 5, 15, 52, 202, 859, 3930, 19095
+        ]
+
+
+def _oscillating(k, n):
+    """Closed walks of each length 2m = 0, 2, .., 2n from the empty shape,
+    each step adding a corner (at most k - 1 rows) or removing one."""
+    states, column = {(): 1}, [1]
+    for step in range(1, 2 * n + 1):
+        nxt = {}
+        for shape, c in states.items():
+            for t in counting._add_corners(shape, k - 1) + counting._remove_corners(shape):
+                nxt[t] = nxt.get(t, 0) + c
+        states = nxt
+        if step % 2 == 0:
+            column.append(states.get((), 0))
+    return column
+
+
+def _matchings_without(k, m):
+    """Perfect matchings of [m] with no k-crossing, each tested by the oracle."""
+    return sum(
+        oracle_find(arcs_classical(PartialPartition(m, tuple(labels))), k, CROSSING) is None
+        for labels in _iter_labels(m, False)
+        if all(labels.count(v) == 2 for v in labels)
+    )
+
+
+class TestCornerRules:
+    # Chen et al.: the perfect matchings of [2n] with no k-crossing are the
+    # oscillating tableaux of length 2n with at most k - 1 rows.  So a walk
+    # that only adds or removes one corner per step checks the corner rules
+    # that the partition walk composes, without it and without enumerating.
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_walk_counts_the_matchings(self, k):
+        assert _oscillating(k, 4) == [_matchings_without(k, 2 * n) for n in range(5)]
+
+    def test_one_row_gives_catalan(self):
+        assert _oscillating(2, 20) == [math.comb(2 * n, n) // (n + 1) for n in range(21)]
+
+    def test_three_and_four_crossings_pinned(self):
+        assert _oscillating(3, 6) == [1, 1, 3, 14, 84, 594, 4719]
+        assert _oscillating(4, 10) == [
+            1, 1, 3, 15, 104, 909, 9449, 112398, 1489410, 21562086, 336086022
         ]
 
 

@@ -8,11 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from crossmap import counting
+from crossmap import cli, counting, oeis
 from crossmap.cli import main
 from crossmap.errors import NetworkError, NoOverlap, OutOfRange, ParseError, UnknownId
 from crossmap.oeis import (
-    BUNDLED_IDS,
     RefSequence,
     bundled,
     cache_dir,
@@ -23,6 +22,10 @@ from crossmap.oeis import (
 
 
 GENERATE_REFS = Path(__file__).resolve().parents[1] / "scripts" / "generate_refs.py"
+#: The ids of the bundled snapshots, read from their data files.
+SNAPSHOT_IDS = [
+    "A" + path.stem[1:] for path in sorted((Path(oeis.__file__).parent / "data").glob("b*.txt"))
+]
 
 
 @pytest.fixture
@@ -78,8 +81,12 @@ class TestBundled:
             bundled("banana")
 
     def test_every_snapshot_has_at_least_15_terms(self):
-        for oeis_id in BUNDLED_IDS:
+        assert SNAPSHOT_IDS
+        for oeis_id in SNAPSHOT_IDS:
             assert len(bundled(oeis_id).values) >= 15
+
+    def test_every_snapshot_has_a_check(self):
+        assert SNAPSHOT_IDS == sorted(cli.OEIS_CHECKS)
 
 
 class TestParse:

@@ -151,3 +151,36 @@ def test_value_methods_live_only_on_the_record_base():
         if name in VALUE_METHODS
     )
     assert defined == sorted((name, "partition.py", "_Record") for name in VALUE_METHODS)
+
+
+def _strings_with(text: str):
+    """A selector of the string literals, docstrings aside, that contain ``text``."""
+
+    def select(tree):
+        docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+        return [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and text in node.value
+            and id(node) not in docstrings
+        ]
+
+    return select
+
+
+@pytest.mark.parametrize(
+    "text, place",
+    [
+        ("unknown arc mode", ("arcs.py", "_strict")),
+        ("n must be >= 0", ("counting.py", "bell")),
+        (".txt", ("oeis.py", "_bfile_name")),
+    ],
+    ids=["arc-modes", "bell-range", "bfile-name"],
+)
+def test_each_rule_has_one_home(text, place):
+    # The two arc modes, Bell's range and the b-file name that the data
+    # files, the cache and the OEIS URL share are each written once; a
+    # second copy would have to be kept in step with it by hand.
+    _assert_only_inside(_strings_with(text), [place])

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossmap.bijection import reverse
 from crossmap.errors import (
     DuplicateElement,
     EmptyBlock,
@@ -17,7 +18,6 @@ from crossmap.partition import (
     enumerate_partial,
     from_blocks,
     parse_text,
-    require_full,
 )
 
 
@@ -123,10 +123,10 @@ class TestValidation:
         assert p.num_blocks == 0 and not p.is_full
         assert tuple(j + 1 for j, v in enumerate(p.labels) if v) == ()
 
-    def test_require_full(self):
-        require_full(PartialPartition(2, (1, 2)))
-        with pytest.raises(NotFull):
-            require_full(PartialPartition(2, (1, 0)))
+    def test_reverse_refuses_absent_elements(self):
+        assert reverse(PartialPartition(2, (1, 2))).to_text() == "1:"
+        with pytest.raises(NotFull, match=r"^partition 2:1 has absent elements$"):
+            reverse(PartialPartition(2, (1, 0)))
 
 
 class TestText:
