@@ -25,6 +25,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PAPER_PI = "9:1,4,7,9/2,5/3/6"
 PAPER_PI_HAT = "10:1,5/2,6,7,10/3,4,8/9"
+#: The paper's pi with its blocks and their elements in reverse order.
+PAPER_PI_REVERSED = "9:9,7,4,1/6/5,2/3"
 #: Error cases: each fails one of the checks a command makes before it runs.
 ERRORS = """\
 count --k 0 --n 3 --family C
@@ -46,6 +48,8 @@ map --input 20:1
 map --input 3:1,+2
 map --input 3
 map --input 2:1 --reverse
+map --input 3:4,1/1
+map --input 3:2,1/1
 map --input 9:1,4,7,9/2,5/3/6 --witnesses 9
 map --input 3:1 --witnesses -1
 render --input 2:1 --scale 0
@@ -84,6 +88,8 @@ def commands() -> list[list[str]]:
     for k in ("3", "4", "8"):
         out += [["map", "--input", PAPER_PI, "--witnesses", k],
                 ["map", "--input", PAPER_PI_HAT, "--reverse", "--witnesses", k]]
+    out += [["map", "--input", PAPER_PI_REVERSED, "--witnesses", "3"],
+            ["render", "--input", PAPER_PI_REVERSED]]
     out += [["render", "--input", PAPER_PI],
             ["render", "--input", PAPER_PI_HAT, "--scale", "7", "--source-color", "red",
              "--image-color", "#ABCdef"],

@@ -5,33 +5,17 @@ on every singleton, becomes the classical arc (x, y+1) of the image, whose
 other elements stay singletons; ``reverse`` shifts (x, z) back to (x, z-1).
 So enhanced k-crossings (and k-nestings) map onto classical ones.
 
-Both maps shift the enhanced arc list kept on their input into ``succ[x]``,
-the next element of x's block in the result (x at a block's end, 0 when x
-is absent), and label each chain from its smallest element: restricted
-growth by construction, so they wrap those labels unchecked
-(``partition._trusted``).
+Both maps shift the enhanced arc list kept on their input into links of
+the result: ``link[x]`` is a smaller element of x's block, x when x is the
+block's least element, and 0 when x is absent.  ``partition._labelled``
+turns the links into restricted-growth labels, unchecked.
 """
 from __future__ import annotations
 
 from .arcs import Arc, CLASSICAL, ENHANCED, _new, arcs_enhanced
 from .crossings import CrossingWitness
 from .errors import NotFull, OutOfRange
-from .partition import PartialPartition, _check_n, _trusted
-
-
-def _from_successors(succ: list[int], n: int) -> tuple[int, ...]:
-    """Labels of the partition of a subset of [n] whose blocks are the chains of ``succ``."""
-    labels = [0] * (n + 1)  # labels[x] for x in [n]; labels[0] is dropped
-    blocks = 0
-    for x in range(1, n + 1):
-        if succ[x] and not labels[x]:
-            blocks += 1
-            y = x
-            labels[y] = blocks
-            while succ[y] != y:
-                y = succ[y]
-                labels[y] = blocks
-    return tuple(labels[1:])
+from .partition import PartialPartition, _check_n, _labelled
 
 
 def image_n(p: PartialPartition) -> int:
@@ -43,10 +27,10 @@ def image_n(p: PartialPartition) -> int:
 def forward(p: PartialPartition) -> PartialPartition:
     """Map a partition of a subset of [n] to a full partition of [n+1]."""
     n = image_n(p)
-    succ = list(range(n + 1))
-    for x, y in arcs_enhanced(p).arcs:  # a loop (u, u) joins u to u + 1
-        succ[x] = y + 1
-    return _trusted(n, _from_successors(succ, n))
+    link = list(range(n + 1))
+    for x, y in arcs_enhanced(p).arcs:  # a loop (u, u) joins u + 1 to u
+        link[y + 1] = x
+    return _labelled(link)
 
 
 def reverse(q: PartialPartition) -> PartialPartition:
@@ -59,13 +43,14 @@ def reverse(q: PartialPartition) -> PartialPartition:
         raise NotFull(f"partition {q} has absent elements")
     if q.n == 0:
         raise OutOfRange("reverse needs a partition of [n+1] with n >= 0, got one of [0]")
-    succ = [0] * q.n
+    link = [0] * q.n
     for x, z in arcs_enhanced(q).arcs:
-        # Loops (q's singletons) have no preimage.  z - 1 is present and ends
-        # its block unless it starts an arc, which comes later: arcs are sorted.
+        # Loops (q's singletons) have no preimage.  Arcs are sorted by left
+        # end, so an arc that ends at x + 1 came first and linked x already.
         if x != z:
-            succ[x] = succ[z - 1] = z - 1
-    return _trusted(q.n - 1, _from_successors(succ, q.n - 1))
+            link[z - 1] = x
+            link[x] = link[x] or x
+    return _labelled(link)
 
 
 def witness_forward(w: CrossingWitness) -> CrossingWitness:

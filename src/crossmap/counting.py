@@ -20,8 +20,8 @@ Each enumerated count makes one pass over the raw label arrays of
 
 ``verify_eigensequence`` checks the reverse map against a bitmap over
 predecessor forms.  The predecessor form of a partition of a subset of
-[n] gives each element x a value v_x: 0 when x is absent, x when x opens
-its block, and otherwise the element just before x in its block.  It is
+[n] is its link array (defined at ``partition._labelled``) that links each
+x to the element just before x in its block, and v_x is link[x].  It is
 canonical, and 0 <= v_x <= x, so v_1..v_{n-1} pick one of n! words by the
 mixed radix of ``_weights`` and v_n <= n < 16 picks a bit of that 16-bit
 word.  One exception: when n's block is {b, n} with b < n, the word

@@ -124,30 +124,41 @@ def _fill(p: PartialPartition, n: int, labels: tuple[int, ...]) -> PartialPartit
     return p
 
 
-def _trusted(n: int, labels: tuple[int, ...]) -> PartialPartition:
-    """The partition with these labels, unchecked: ``from_blocks``, ``forward``
-    and ``reverse`` check their input and build restricted-growth labels."""
-    return _fill(object.__new__(PartialPartition), n, labels)
+def _labelled(link: list[int]) -> PartialPartition:
+    """The partition of a subset of [n], n = len(link) - 1, unchecked.
+    ``link[x]`` is 0 when x is absent, x when x is the least element of its
+    block, and otherwise any smaller element of x's block.  Blocks are
+    numbered as their least elements come: restricted growth by
+    construction.  The one unchecked build: ``from_blocks``, ``forward``
+    and ``reverse`` check their input and write links."""
+    labels = [0] * len(link)  # labels[0] stays 0, for the absent elements
+    blocks = 0
+    for x in range(1, len(link)):
+        if link[x] == x:
+            blocks += 1
+            labels[x] = blocks
+        else:
+            labels[x] = labels[link[x]]
+    return _fill(object.__new__(PartialPartition), len(link) - 1, tuple(labels[1:]))
 
 
 def from_blocks(n: int, blocks: Sequence[Sequence[int]]) -> PartialPartition:
     """Build the canonical partition of a subset of [n] with these blocks."""
     _check_n(n)
-    labels = [0] * n
+    link = [0] * (n + 1)
     for block in blocks:
         if not block:
             raise EmptyBlock("blocks must be nonempty")
         for e in block:
             if not 1 <= e <= n:
                 raise OutOfRange(f"element {e} outside [1..{n}]")
-            if labels[e - 1]:
+            if link[e]:
                 raise DuplicateElement(f"element {e} appears twice")
-            labels[e - 1] = -1  # provisional mark; real ids assigned below
-    # Restricted-growth ids: blocks numbered by first (smallest) occurrence.
-    for rank, block in enumerate(sorted(blocks, key=min), start=1):
+            link[e] = e  # seen: a duplicate in this block is refused too
+        least = min(block)
         for e in block:
-            labels[e - 1] = rank
-    return _trusted(n, tuple(labels))
+            link[e] = least
+    return _labelled(link)
 
 
 #: The text grammar in ASCII digits; ``int`` alone would also take signs,

@@ -124,12 +124,24 @@ def test_bell_check_bitmap_lives_in_counting():
     _assert_only_inside(_calls_of("cast"), [("counting.py", "verify_eigensequence")])
 
 
+def _unchecked_builds(tree: ast.AST) -> list:
+    """The ``object.__new__(PartialPartition)`` calls under ``tree``."""
+    return [
+        node
+        for node in _calls_of("__new__")(tree)
+        if _name(node.func.value) == "object"
+        and [_name(arg) for arg in node.args] == ["PartialPartition"]
+    ]
+
+
 def test_only_three_builders_skip_the_label_check():
-    # from_blocks, forward and reverse check their own input and build
-    # restricted-growth labels by construction; every other partition goes
-    # through the validating constructor.
+    # One function turns links into restricted-growth labels and builds the
+    # partition unchecked; from_blocks, forward and reverse check their own
+    # input and write links.  Every other partition goes through the
+    # validating constructor.
+    _assert_only_inside(_unchecked_builds, [("partition.py", "_labelled")])
     _assert_only_inside(
-        _calls_of("_trusted"),
+        _calls_of("_labelled"),
         [("partition.py", "from_blocks"), ("bijection.py", "forward"), ("bijection.py", "reverse")],
     )
 

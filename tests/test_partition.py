@@ -14,6 +14,7 @@ from crossmap.partition import (
     MAX_N,
     PartialPartition,
     _iter_labels,
+    _labelled,
     enumerate_full,
     enumerate_partial,
     from_blocks,
@@ -47,6 +48,19 @@ class TestFromBlocks:
         # block order in the input must not matter
         p = from_blocks(4, [[3], [1, 4], [2]])
         assert p.labels == (1, 2, 3, 1)
+
+    def test_elements_out_of_order(self):
+        # nor the order of the elements within a block
+        assert from_blocks(4, [[4, 1], [3, 2]]).labels == (1, 2, 2, 1)
+
+    def test_first_refusal_wins(self):
+        # Blocks and their elements are checked in the order given.
+        with pytest.raises(DuplicateElement, match=r"^element 2 appears twice$"):
+            from_blocks(3, [[2, 2, 0]])
+        with pytest.raises(OutOfRange, match=r"^element 4 outside \[1..3\]$"):
+            from_blocks(3, [[4, 1], [1]])
+        with pytest.raises(DuplicateElement, match=r"^element 1 appears twice$"):
+            from_blocks(3, [[2, 1], [1], []])
 
     def test_duplicate_across_blocks(self):
         with pytest.raises(DuplicateElement):
@@ -105,6 +119,25 @@ class TestBlocksOf:
         assert p.blocks() == canonical
 
 
+def _links(p, least):
+    """p as links over [0..n]: each element of a block links to the block's
+    least element (``least``) or to the element just before it."""
+    link = [0] * (p.n + 1)
+    for block in p.blocks():
+        for before, x in zip(block[:1] + block, block):
+            link[x] = block[0] if least else before
+    return link
+
+
+class TestLabelled:
+    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("least", [True, False], ids=["least", "predecessor"])
+    def test_links_give_the_labels(self, n, least):
+        # Any smaller element of the block will do as a link.
+        for p in enumerate_partial(n):
+            assert _labelled(_links(p, least)).labels == p.labels
+
+
 class TestValidation:
     def test_rejects_label_gap(self):
         with pytest.raises(OutOfRange):
@@ -148,6 +181,9 @@ class TestText:
         for text in ("1_0:1", "３:1", "3:1,+2", "3: 1,2"):
             with pytest.raises(ParseError):
                 parse_text(text)
+
+    def test_elements_out_of_order(self):
+        assert parse_text("4:4,1/3,2").to_text() == "4:1,4/2,3"
 
     def test_outer_whitespace_is_stripped(self):
         assert parse_text(" 3:1,2 \n").to_text() == "3:1,2"
