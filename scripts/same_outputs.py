@@ -99,6 +99,15 @@ def commands() -> list[list[str]]:
             ["render", "--input", "1:1"],
             ["render", "--input", "19:1,19"],
             ["render", "--input", "19:1,19", "--scale", "1"]]
+    # Each library default given explicitly, next to its bare form: a
+    # default that drifts between the CLI and the library differs here.
+    # The map line passes the --witnesses check and is then refused: the
+    # paper's pi leaves 8 absent, and reverse takes only full partitions.
+    out += [["count", "--k", "3", "--n", "6", "--family", "C", "--parts", "1", "--budget", "12"],
+            ["oeis-check", "--id", "A108304", "--budget", "12"],
+            ["render", "--input", PAPER_PI, "--scale", "24", "--source-color", "#2b6cb0",
+             "--image-color", "#000000"],
+            ["map", "--input", PAPER_PI, "--witnesses", "4", "--reverse"]]
     for k in range(1, 6):
         out += [["verify-identity", "--k", str(k), "--n-max", "9", *json] for json in ([], ["--json"])]
     out += [["verify-identity", "--k", "3", "--n-max", "13"], ["count", "--k", "3", "--n", "13", "--family", "C"]]

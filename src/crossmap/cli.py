@@ -6,6 +6,8 @@ the ``exit_code`` of the ``CrossmapError`` that ended the run: 2 usage
 error, 3 budget or overflow, 4 network failure.  A value is checked once,
 by the library function that owns its range or cap: a command checks only
 ``--limit``, and names ``--witnesses`` in ``_check_k``'s refusal of it.
+No command restates a library default: an option the user did not give is
+not passed, so the function that owns it decides.
 
 ``json``, ``oeis`` and ``diagram`` serve only some commands, which import
 them when they run, so every other command starts without them.
@@ -17,7 +19,7 @@ import sys
 from itertools import islice
 
 from . import counting
-from .arcs import CLASSICAL, ENHANCED, arcs_classical, arcs_enhanced
+from .arcs import arcs_classical, arcs_enhanced
 from .bijection import forward, reverse, witness_forward
 from .crossings import CROSSING, NESTING, _check_k, count_k_witnesses, find_k_crossing, find_k_nesting
 from .errors import CrossmapError, InvalidK, OutOfRange, UnknownId
@@ -29,12 +31,17 @@ EXIT_PIPE = 141
 
 #: Computed column and default check range for each bundled OEIS id.
 OEIS_CHECKS = {
-    "A000108": ("C", 2, 10),
-    "A001006": ("E", 2, 10),
-    "A108304": ("C", 3, 9),
-    "A108307": ("E", 3, 9),
-    "A000110": ("Bell", None, 12),
+    "A000108": (counting.FAMILY_C, 2, 10),
+    "A001006": (counting.FAMILY_E, 2, 10),
+    "A108304": (counting.FAMILY_C, 3, 9),
+    "A108307": (counting.FAMILY_E, 3, 9),
+    "A000110": (counting.FAMILY_BELL, None, 12),
 }
+
+
+def _given(args, *names) -> dict:
+    """The options among ``names`` that the user gave (argparse's None is not given)."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def _cmd_enumerate(args) -> int:
@@ -49,8 +56,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    fn = counting.count_C if args.family == "C" else counting.count_E
-    value = fn(args.k, args.n, parts=args.parts, budget=args.budget)
+    fn = counting.count_C if args.family == counting.FAMILY_C else counting.count_E
+    value = fn(args.k, args.n, **_given(args, "parts", "budget"))
     print(value)
     return EXIT_OK
 
@@ -91,10 +98,10 @@ def _cmd_map(args) -> int:
         for k in range(1, args.witnesses + 1):
             for kind, find in ((CROSSING, find_k_crossing), (NESTING, find_k_nesting)):
                 # Each side is walked once per kind; every k reads that walk.
-                cla = count_k_witnesses(dst_arcs, k, kind, CLASSICAL)
-                enh = count_k_witnesses(src_arcs, k, kind, ENHANCED)
+                cla = count_k_witnesses(dst_arcs, k, kind)
+                enh = count_k_witnesses(src_arcs, k, kind)
                 line = f"k={k} {kind}: enhanced={enh} classical={cla}"
-                w = find(src_arcs, k, ENHANCED)
+                w = find(src_arcs, k)
                 if w is not None:
                     line += (
                         f" witness={json.dumps(w.to_json())}"
@@ -108,12 +115,7 @@ def _cmd_render(args) -> int:
     from .diagram import render_overlay
 
     p = parse_text(args.input)
-    svg = render_overlay(
-        p,
-        scale=args.scale,
-        source_color=args.source_color,
-        image_color=args.image_color,
-    )
+    svg = render_overlay(p, **_given(args, "scale", "source_color", "image_color"))
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -133,7 +135,7 @@ def _cmd_oeis_check(args) -> int:
     family, k, default = OEIS_CHECKS[args.id]
     n_max = default if args.n_max is None else args.n_max
     # Counted first, so a run that fails its checks fetches and caches nothing.
-    table = counting.count_table(family, k, n_max, budget=args.budget)
+    table = counting.count_table(family, k, n_max, **_given(args, "budget"))
     ref = (
         oeis.fetch_bfile(args.id, limit=n_max + 1)
         if args.fetch
@@ -174,9 +176,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="count k-crossing avoiders")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--family", choices=["C", "E"], required=True)
-    p.add_argument("--parts", type=int, default=1)
-    p.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET, help="largest n that is enumerated")
+    p.add_argument("--family", choices=[counting.FAMILY_C, counting.FAMILY_E], required=True)
+    p.add_argument("--parts", type=int)
+    p.add_argument("--budget", type=int, help="largest n that is enumerated")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("verify-identity", help="check the binomial-transform identity")
@@ -200,16 +202,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="render the overlay arc diagram as SVG")
     p.add_argument("--input", required=True, metavar='"n:blocks"')
     p.add_argument("--out", default=None)
-    p.add_argument("--scale", type=int, default=24)
-    p.add_argument("--source-color", default="#2b6cb0")
-    p.add_argument("--image-color", default="#000000")
+    p.add_argument("--scale", type=int)
+    p.add_argument("--source-color")
+    p.add_argument("--image-color")
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("oeis-check", help="compare computed counts to a reference sequence")
     p.add_argument("--id", required=True)
     p.add_argument("--fetch", action="store_true", help="fetch the live b-file instead of the snapshot")
     p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET, help="largest n that is enumerated")
+    p.add_argument("--budget", type=int, help="largest n that is enumerated")
     p.set_defaults(func=_cmd_oeis_check)
 
     p = sub.add_parser("bell-check", help="check the Bell-number fixed point three ways")

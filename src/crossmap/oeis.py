@@ -46,10 +46,14 @@ def _bfile_name(oeis_id: str) -> str:
     return f"b{oeis_id[1:]}.txt"
 
 
-def parse_bfile(text: str, oeis_id: str, limit: Optional[int] = None) -> RefSequence:
-    """Parse b-file text: `index value` lines, `#` comments ignored."""
+def _check_limit(limit: Optional[int]) -> None:
     if limit is not None and limit < 1:
         raise OutOfRange(f"limit must be >= 1, got {limit}")
+
+
+def parse_bfile(text: str, oeis_id: str, limit: Optional[int] = None) -> RefSequence:
+    """Parse b-file text: `index value` lines, `#` comments ignored."""
+    _check_limit(limit)
     pairs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -104,8 +108,7 @@ def _atomic_write(path: Path, data: bytes) -> None:
 def fetch_bfile(oeis_id: str, limit: int) -> RefSequence:
     """Download (or serve from cache) the b-file and parse up to ``limit`` terms."""
     _check_id(oeis_id)
-    if limit < 1:
-        raise OutOfRange(f"limit must be >= 1, got {limit}")
+    _check_limit(limit)  # before urllib is imported or anything is fetched
     import http.client
     import urllib.error
     import urllib.request

@@ -552,6 +552,35 @@ OUT_OF_RANGE = [
 ]
 
 
+class TestLibraryDefaults:
+    def test_only_given_options_are_passed(self, capsys, monkeypatch):
+        # An option the user did not give is left to the default of the
+        # function that owns it, so the CLI cannot drift from that default.
+        from crossmap import diagram
+
+        seen = []
+
+        def recorded(fn):
+            def record(*args, **kwargs):
+                seen.append(kwargs)
+                return fn(*args, **kwargs)
+
+            return record
+
+        for module, name in ((diagram, "render_overlay"), (counting, "count_C"), (counting, "count_table")):
+            monkeypatch.setattr(module, name, recorded(getattr(module, name)))
+        for argv in (
+            ["render", "--input", PAPER_PI],
+            ["count", "--k", "3", "--n", "6", "--family", "C"],
+            ["oeis-check", "--id", "A108304"],
+            ["render", "--input", PAPER_PI, "--scale", "7"],
+            ["count", "--k", "3", "--n", "6", "--family", "C", "--parts", "2"],
+            ["oeis-check", "--id", "A108304", "--budget", "0"],
+        ):
+            run(capsys, *argv)
+        assert seen == [{}, {}, {}, {"scale": 7}, {"parts": 2}, {"budget": 0}]
+
+
 class TestFlagRanges:
     @pytest.mark.parametrize("argv, err", OUT_OF_RANGE, ids=[shlex.join(argv) for argv, _ in OUT_OF_RANGE])
     def test_out_of_range_exit_2(self, capsys, argv, err):

@@ -188,11 +188,28 @@ def _strings_with(text: str):
         ("unknown arc mode", ("arcs.py", "_strict")),
         ("n must be >= 0", ("counting.py", "bell")),
         (".txt", ("oeis.py", "_bfile_name")),
+        ("#2b6cb0", ("diagram.py", "render_overlay")),
+        ("#000000", ("diagram.py", "render_overlay")),
+        ("limit must be >= 1", ("oeis.py", "_check_limit")),
     ],
-    ids=["arc-modes", "bell-range", "bfile-name"],
+    ids=["arc-modes", "bell-range", "bfile-name", "source-colour", "image-colour", "bfile-limit"],
 )
 def test_each_rule_has_one_home(text, place):
-    # The two arc modes, Bell's range and the b-file name that the data
-    # files, the cache and the OEIS URL share are each written once; a
+    # The two arc modes, Bell's range, the b-file name that the data files,
+    # the cache and the OEIS URL share, the overlay's default colours and
+    # the b-file limit that parse and fetch share are each written once; a
     # second copy would have to be kept in step with it by hand.
     _assert_only_inside(_strings_with(text), [place])
+
+
+def test_cli_names_no_library_default():
+    # The budget and the arc modes are defaults of the functions the
+    # commands call: an option the user did not give is not passed at all.
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    named = [
+        (node.lineno, name)
+        for node in ast.walk(tree)
+        for name in [getattr(node, "name", None) or _name(node)]
+        if name in ("DEFAULT_BUDGET", "CLASSICAL", "ENHANCED")
+    ]
+    assert named == []
