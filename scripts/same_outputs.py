@@ -117,6 +117,8 @@ def commands() -> list[list[str]]:
     out += [["enumerate", "--n", str(n), *partial] for partial in ([], ["--partial"]) for n in range(7)]
     out += [["oeis-check", "--id", "A" + path.stem[1:]]
             for path in sorted((ROOT / "src" / "crossmap" / "data").glob("b*.txt"))]
+    # Every term of the bundled Bell snapshot: a read of a whole data file.
+    out += [["oeis-check", "--id", "A000110", "--n-max", "25"]]
     return out + [line.split(" ") for line in ERRORS.splitlines()]
 
 

@@ -136,11 +136,7 @@ def _cmd_oeis_check(args) -> int:
     n_max = default if args.n_max is None else args.n_max
     # Counted first, so a run that fails its checks fetches and caches nothing.
     table = counting.count_table(family, k, n_max, **_given(args, "budget"))
-    ref = (
-        oeis.fetch_bfile(args.id, limit=n_max + 1)
-        if args.fetch
-        else oeis.bundled(args.id)
-    )
+    ref = oeis.fetch_bfile(args.id) if args.fetch else oeis.bundled(args.id)
     diff = oeis.compare(table, ref)
     if diff.ok:
         print(f"OK ({diff.compared} terms compared)")

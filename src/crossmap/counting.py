@@ -107,9 +107,8 @@ def _check_budget_range(budget: int) -> None:
 
 
 def _check_budget(n: int, budget: int) -> None:
-    """Check n against the budget, then the ground set [n]; a negative n
-    skips the budget and fails ``_check_n``, as everywhere."""
-    if n > budget and n >= 0:
+    """Check n against the budget, then the ground set [n]."""
+    if n > budget:
         raise OutOfBudget(f"n={n} exceeds the enumeration budget {budget}")
     _check_n(n)
 

@@ -4,8 +4,9 @@ Snapshots live under ``crossmap/data`` in plain b-file format, one file per
 bundled id, and are the default for tests (no network).  ``fetch_bfile``
 downloads the live b-file with the standard library's ``urllib.request``,
 caches the raw bytes under ``$CROSSMAP_CACHE_DIR`` (default
-``~/.cache/crossmap``) once they parse, and falls back to the cache when
-offline.  Both paths go through the same parser.  ``urllib`` is imported
+``~/.cache/crossmap``) only once all of them parse, and falls back to the
+cache when offline.  Every b-file, bundled, fetched or cached, is read one
+way: decoded as UTF-8 and parsed whole.  ``urllib`` is imported
 inside ``fetch_bfile``, so only a fetch loads ``http.client`` and ``ssl``;
 every other command starts without them.
 """
@@ -18,7 +19,7 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple, Optional
 
-from .errors import NetworkError, NoOverlap, OutOfRange, ParseError, UnknownId
+from .errors import CrossmapError, NetworkError, NoOverlap, ParseError, UnknownId
 
 #: The whole id, in ASCII digits: ``\d`` takes other digits, ``$`` a final newline.
 _ID = re.compile(r"A[0-9]{6}")
@@ -46,14 +47,8 @@ def _bfile_name(oeis_id: str) -> str:
     return f"b{oeis_id[1:]}.txt"
 
 
-def _check_limit(limit: Optional[int]) -> None:
-    if limit is not None and limit < 1:
-        raise OutOfRange(f"limit must be >= 1, got {limit}")
-
-
-def parse_bfile(text: str, oeis_id: str, limit: Optional[int] = None) -> RefSequence:
+def parse_bfile(text: str, oeis_id: str) -> RefSequence:
     """Parse b-file text: `index value` lines, `#` comments ignored."""
-    _check_limit(limit)
     pairs: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -67,8 +62,6 @@ def parse_bfile(text: str, oeis_id: str, limit: Optional[int] = None) -> RefSequ
         except ValueError:
             raise ParseError(f"{oeis_id} line {lineno}: non-integer field in {raw!r}") from None
         pairs.append((idx, val))
-        if limit is not None and len(pairs) >= limit:
-            break
     if not pairs:
         raise ParseError(f"{oeis_id}: b-file contains no terms")
     offset = pairs[0][0]
@@ -84,7 +77,7 @@ def bundled(oeis_id: str) -> RefSequence:
     path = resources.files("crossmap") / "data" / _bfile_name(oeis_id)
     if not path.is_file():
         raise UnknownId(f"no bundled snapshot for {oeis_id}")
-    return parse_bfile(path.read_text(), oeis_id)
+    return parse_bfile(path.read_text(encoding="utf-8"), oeis_id)
 
 
 def cache_dir() -> Path:
@@ -105,10 +98,10 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
-def fetch_bfile(oeis_id: str, limit: int) -> RefSequence:
-    """Download (or serve from cache) the b-file and parse up to ``limit`` terms."""
-    _check_id(oeis_id)
-    _check_limit(limit)  # before urllib is imported or anything is fetched
+def fetch_bfile(oeis_id: str) -> RefSequence:
+    """Download (or, offline, read from the cache) the b-file and parse all
+    of it; a download is cached only once all of it parses."""
+    _check_id(oeis_id)  # before urllib is imported or anything is fetched
     import http.client
     import urllib.error
     import urllib.request
@@ -124,16 +117,23 @@ def fetch_bfile(oeis_id: str, limit: int) -> RefSequence:
     except (OSError, http.client.HTTPException) as exc:
         if isinstance(exc, urllib.error.HTTPError) and exc.code == 404:
             raise UnknownId(f"OEIS has no b-file for {oeis_id}") from None
-        if cache.exists():
-            return parse_bfile(cache.read_text(), oeis_id, limit=limit)
-        raise NetworkError(f"cannot fetch {url} and no cache exists: {exc}") from exc
-    # Only a body that parses is cached, so a bad payload cannot poison the
-    # offline fallback.
+        try:
+            text = cache.read_text(encoding="utf-8")
+        except (FileNotFoundError, NotADirectoryError):
+            raise NetworkError(f"cannot fetch {url} and no cache exists: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as err:
+            raise NetworkError(f"cannot fetch {url} and cannot read its cache: {err}") from exc
+        return parse_bfile(text, oeis_id)
+    # Only a body that parses whole is cached, so a bad payload cannot
+    # poison the offline fallback.
     try:
-        ref = parse_bfile(content.decode("utf-8"), oeis_id, limit=limit)
+        ref = parse_bfile(content.decode("utf-8"), oeis_id)
     except (UnicodeDecodeError, ParseError) as exc:
         raise NetworkError(f"{url} did not return a b-file: {exc}") from exc
-    _atomic_write(cache, content)
+    try:
+        _atomic_write(cache, content)
+    except OSError as exc:
+        raise CrossmapError(f"cannot write {cache}: {exc.strerror}") from exc
     return ref
 
 

@@ -1,6 +1,9 @@
+import errno
 import http.client
 import importlib.util
 import io
+import os
+import subprocess
 import sys
 import urllib.error
 import urllib.request
@@ -10,7 +13,7 @@ import pytest
 
 from crossmap import cli, counting, oeis
 from crossmap.cli import main
-from crossmap.errors import NetworkError, NoOverlap, OutOfRange, ParseError, UnknownId
+from crossmap.errors import NetworkError, NoOverlap, ParseError, UnknownId
 from crossmap.oeis import (
     RefSequence,
     bundled,
@@ -22,6 +25,15 @@ from crossmap.oeis import (
 
 
 GENERATE_REFS = Path(__file__).resolve().parents[1] / "scripts" / "generate_refs.py"
+SRC = Path(__file__).resolve().parents[1] / "src"
+A001006_URL = "https://oeis.org/A001006/b001006.txt"
+#: A well-formed b-file of the Motzkin numbers, n = 0..15.
+MOTZKIN = "".join(
+    f"{n} {v}\n"
+    for n, v in enumerate(
+        [1, 1, 2, 4, 9, 21, 51, 127, 323, 835, 2188, 5798, 15511, 41835, 113634, 310572]
+    )
+)
 #: The ids of the bundled snapshots, read from their data files.
 SNAPSHOT_IDS = [
     "A" + path.stem[1:] for path in sorted((Path(oeis.__file__).parent / "data").glob("b*.txt"))
@@ -111,15 +123,6 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_bfile("# only comments\n", "A000001")
 
-    def test_limit(self):
-        ref = parse_bfile("0 1\n1 2\n2 3\n", "A000001", limit=2)
-        assert ref.values == (1, 2)
-
-    @pytest.mark.parametrize("limit", [0, -3])
-    def test_limit_below_one(self, limit):
-        with pytest.raises(OutOfRange, match=f"^limit must be >= 1, got {limit}$"):
-            parse_bfile("0 1\n1 1\n", "A000108", limit=limit)
-
 
 class _FakeResponse(io.BytesIO):
     """The body ``urlopen`` returns: a readable context manager."""
@@ -150,41 +153,41 @@ class TestFetch:
     def test_fetch_writes_cache(self, monkeypatch):
         body = "0 1\n1 1\n2 2\n3 4\n4 9\n"
         monkeypatch.setattr(urllib.request, "urlopen", _serve(body.encode()))
-        ref = fetch_bfile("A001006", limit=10)
+        ref = fetch_bfile("A001006")
         assert ref.values == (1, 1, 2, 4, 9)
         assert self.cached.read_text() == body
 
     def test_cache_stores_raw_bytes(self, monkeypatch):
         body = b"# A001006\r\n0 1\r\n1 1\r\n"
         monkeypatch.setattr(urllib.request, "urlopen", _serve(body))
-        assert fetch_bfile("A001006", limit=10).values == (1, 1)
+        assert fetch_bfile("A001006").values == (1, 1)
         assert self.cached.read_bytes() == body
 
     def test_offline_falls_back_to_cache(self, monkeypatch):
         self.cached.write_text("0 1\n1 1\n2 2\n")
         monkeypatch.setattr(urllib.request, "urlopen", _fail(urllib.error.URLError("offline")))
-        ref = fetch_bfile("A001006", limit=10)
+        ref = fetch_bfile("A001006")
         assert ref.values == (1, 1, 2)
 
     def test_offline_without_cache(self, monkeypatch):
         monkeypatch.setattr(urllib.request, "urlopen", _fail(urllib.error.URLError("offline")))
         with pytest.raises(NetworkError):
-            fetch_bfile("A001006", limit=10)
+            fetch_bfile("A001006")
 
     def test_timeout_without_cache(self, monkeypatch):
         monkeypatch.setattr(urllib.request, "urlopen", _fail(TimeoutError("timed out")))
         with pytest.raises(NetworkError):
-            fetch_bfile("A001006", limit=10)
+            fetch_bfile("A001006")
 
     def test_http_503_falls_back_to_cache(self, monkeypatch):
         self.cached.write_text("0 1\n1 1\n2 2\n")
         monkeypatch.setattr(urllib.request, "urlopen", _fail(_http_error(503)))
-        assert fetch_bfile("A001006", limit=10).values == (1, 1, 2)
+        assert fetch_bfile("A001006").values == (1, 1, 2)
 
     def test_http_503_without_cache(self, monkeypatch):
         monkeypatch.setattr(urllib.request, "urlopen", _fail(_http_error(503)))
         with pytest.raises(NetworkError):
-            fetch_bfile("A001006", limit=10)
+            fetch_bfile("A001006")
         assert not self.cached.exists()
 
     def test_incomplete_read_is_network_error_and_not_cached(self, monkeypatch):
@@ -194,19 +197,19 @@ class TestFetch:
 
         monkeypatch.setattr(urllib.request, "urlopen", lambda url, timeout: Truncated())
         with pytest.raises(NetworkError):
-            fetch_bfile("A001006", limit=10)
+            fetch_bfile("A001006")
         assert not self.cached.exists()
 
     def test_non_utf8_body_is_network_error_and_not_cached(self, monkeypatch):
         monkeypatch.setattr(urllib.request, "urlopen", _serve(b"0 1\n1 \xff\n"))
         with pytest.raises(NetworkError, match="did not return a b-file"):
-            fetch_bfile("A001006", limit=10)
+            fetch_bfile("A001006")
         assert not self.cached.exists()
 
     def test_bad_payload_is_network_error_and_not_cached(self, monkeypatch, capsys):
         monkeypatch.setattr(urllib.request, "urlopen", _serve(b"<html>"))
         with pytest.raises(NetworkError):
-            fetch_bfile("A001006", limit=10)
+            fetch_bfile("A001006")
         assert main(["oeis-check", "--id", "A001006", "--fetch"]) == 4
         assert "did not return a b-file" in capsys.readouterr().err
         assert not self.cached.exists()
@@ -215,22 +218,98 @@ class TestFetch:
         self.cached.write_text("0 1\n1 1\n2 2\n")
         monkeypatch.setattr(urllib.request, "urlopen", _serve(b"<html>"))
         with pytest.raises(NetworkError):
-            fetch_bfile("A001006", limit=10)
+            fetch_bfile("A001006")
         assert self.cached.read_text() == "0 1\n1 1\n2 2\n"
 
     def test_http_404(self, monkeypatch):
         monkeypatch.setattr(urllib.request, "urlopen", _fail(_http_error(404)))
         with pytest.raises(UnknownId):
-            fetch_bfile("A999999", limit=5)
+            fetch_bfile("A999999")
 
-    def test_limit_below_one_fetches_nothing(self, monkeypatch):
-        def boom(url, timeout):
-            raise AssertionError(f"fetched {url}")
+    def test_short_run_reads_a_whole_good_body(self, monkeypatch, capsys):
+        monkeypatch.setattr(urllib.request, "urlopen", _serve(MOTZKIN.encode()))
+        assert main(["oeis-check", "--id", "A001006", "--fetch", "--n-max", "5"]) == 0
+        assert capsys.readouterr().out == "OK (6 terms compared)\n"
+        assert self.cached.read_text() == MOTZKIN
 
-        monkeypatch.setattr(urllib.request, "urlopen", boom)
-        with pytest.raises(OutOfRange, match="^limit must be >= 1, got 0$"):
-            fetch_bfile("A000108", 0)
-        assert list(self.tmp.iterdir()) == []
+    @pytest.mark.parametrize("earlier", [None, b"0 1\n1 1\n2 2\n"], ids=["no-cache", "cache"])
+    def test_bad_tail_is_network_error_and_not_cached(self, monkeypatch, capsys, earlier):
+        # The whole body must parse before it is cached, however few of its
+        # terms this run compares.
+        if earlier is not None:
+            self.cached.write_bytes(earlier)
+        body = "".join(MOTZKIN.splitlines(keepends=True)[:8]) + "<html>rate limited</html>\n"
+        monkeypatch.setattr(urllib.request, "urlopen", _serve(body.encode()))
+        assert main(["oeis-check", "--id", "A001006", "--fetch", "--n-max", "5"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"error: {A001006_URL} did not return a b-file: A001006 line 9: "
+            "non-integer field in '<html>rate limited</html>'\n"
+        )
+        if earlier is None:
+            assert list(self.tmp.iterdir()) == []
+        else:
+            assert self.cached.read_bytes() == earlier
+
+    def test_cache_write_failure_is_one_error_line(self, monkeypatch, capsys):
+        (self.tmp / "file").write_text("")
+        monkeypatch.setenv("CROSSMAP_CACHE_DIR", str(self.tmp / "file" / "cache"))
+        monkeypatch.setattr(urllib.request, "urlopen", _serve(MOTZKIN.encode()))
+        assert main(["oeis-check", "--id", "A001006", "--fetch"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: cannot write {self.tmp}/file/cache/b001006.txt: Not a directory\n"
+        )
+
+    @pytest.mark.parametrize("under_a_file", [False, True], ids=["missing", "under-a-file"])
+    def test_no_cache_message(self, monkeypatch, capsys, under_a_file):
+        if under_a_file:
+            (self.tmp / "file").write_text("")
+            monkeypatch.setenv("CROSSMAP_CACHE_DIR", str(self.tmp / "file"))
+        monkeypatch.setattr(urllib.request, "urlopen", _fail(urllib.error.URLError("offline")))
+        assert main(["oeis-check", "--id", "A001006", "--fetch"]) == 4
+        assert capsys.readouterr() == (
+            "", f"error: cannot fetch {A001006_URL} and no cache exists: <urlopen error offline>\n"
+        )
+
+    def test_unreadable_cache_is_network_error(self, monkeypatch, capsys):
+        self.cached.mkdir()
+        monkeypatch.setattr(urllib.request, "urlopen", _fail(urllib.error.URLError("offline")))
+        assert main(["oeis-check", "--id", "A001006", "--fetch"]) == 4
+        assert capsys.readouterr() == (
+            "",
+            f"error: cannot fetch {A001006_URL} and cannot read its cache: "
+            f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: '{self.cached}'\n",
+        )
+
+    def test_non_utf8_cache_is_network_error(self, monkeypatch, capsys):
+        self.cached.write_bytes(b"0 1\n1 \xff\n")
+        monkeypatch.setattr(urllib.request, "urlopen", _fail(urllib.error.URLError("offline")))
+        assert main(["oeis-check", "--id", "A001006", "--fetch"]) == 4
+        assert capsys.readouterr() == (
+            "",
+            f"error: cannot fetch {A001006_URL} and cannot read its cache: 'utf-8' codec "
+            "can't decode byte 0xff in position 6: invalid start byte\n",
+        )
+
+    def test_cache_is_read_as_utf8_in_any_locale(self):
+        self.cached.write_text("# A001006 by Václav Kotěšovec\n" + MOTZKIN, encoding="utf-8")
+        code = (
+            "import sys, urllib.error, urllib.request\n"
+            "def offline(url, timeout):\n"
+            "    raise urllib.error.URLError('offline')\n"
+            "urllib.request.urlopen = offline\n"
+            "from crossmap.cli import main\n"
+            "sys.exit(main(['oeis-check', '--id', 'A001006', '--fetch']))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHONUTF8"))}
+        env.update(LC_ALL="C", CROSSMAP_CACHE_DIR=str(self.tmp))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-c", code],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "OK (11 terms compared)\n", "")
 
     def test_cache_dir_env(self):
         assert cache_dir() == self.tmp
@@ -243,7 +322,7 @@ class TestFetch:
 
         monkeypatch.setattr(urllib.request, "urlopen", boom)
         with pytest.raises(UnknownId, match="malformed OEIS id"):
-            fetch_bfile(oeis_id, limit=5)
+            fetch_bfile(oeis_id)
         with pytest.raises(UnknownId, match="malformed OEIS id"):
             bundled(oeis_id)
         assert list(self.tmp.iterdir()) == []

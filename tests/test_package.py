@@ -190,15 +190,14 @@ def _strings_with(text: str):
         (".txt", ("oeis.py", "_bfile_name")),
         ("#2b6cb0", ("diagram.py", "render_overlay")),
         ("#000000", ("diagram.py", "render_overlay")),
-        ("limit must be >= 1", ("oeis.py", "_check_limit")),
     ],
-    ids=["arc-modes", "bell-range", "bfile-name", "source-colour", "image-colour", "bfile-limit"],
+    ids=["arc-modes", "bell-range", "bfile-name", "source-colour", "image-colour"],
 )
 def test_each_rule_has_one_home(text, place):
     # The two arc modes, Bell's range, the b-file name that the data files,
-    # the cache and the OEIS URL share, the overlay's default colours and
-    # the b-file limit that parse and fetch share are each written once; a
-    # second copy would have to be kept in step with it by hand.
+    # the cache and the OEIS URL share, and the overlay's default colours
+    # are each written once; a second copy would have to be kept in step
+    # with it by hand.
     _assert_only_inside(_strings_with(text), [place])
 
 
